@@ -123,7 +123,7 @@ class ProjectionKernel:
     boundary operator; the marginal kernel of the fixed-size determinantal
     face measure.
 
-    basis: (F, r) orthonormal columns; K = basis @ basis.T; rank r = C(n-1,2).
+    basis: (F, r) orthonormal columns V; K = V V^T is never formed; r = C(n-1,2).
     """
 
     def __init__(self, n: int, basis: np.ndarray):
@@ -131,22 +131,21 @@ class ProjectionKernel:
         self.triangles = all_triangles(n)
         self.basis = basis
         self.rank = basis.shape[1]
-        self.K = basis @ basis.T
 
     def subset_probability(self, S) -> float:
-        """det(K_S); for |S| = rank this is the probability of sampling S."""
-        idx = [triangle_index(self.n, t) for t in S]
-        sub = self.K[np.ix_(idx, idx)]
-        return float(np.linalg.det(sub))
+        """det(K_S) = det(V_S V_S^T); for |S| = rank, the probability of S."""
+        VS = self.basis[[triangle_index(self.n, t) for t in S]]
+        return float(np.linalg.det(VS @ VS.T))
 
 
 def build_kernel(n: int) -> ProjectionKernel:
     """Orthonormalizes the boundary rows (SVD, rank threshold 1e-10) and
-    checks the projection contracts: rank C(n-1,2), K symmetric idempotent."""
+    checks the projection contracts on V: rank C(n-1,2), trace K = |V|_F^2
+    equal to the rank, and V^T V = I (K idempotent)."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n > 30:
-        raise ValueError("kernel build capped at n = 30 (dense C(n,3)^2 memory)")
+        raise ValueError("kernel build capped at n = 30 (SVD of a C(n-1,2) x C(n,3) boundary)")
     B = _reduced_boundary(n).astype(float)  # (r0, F) with full row rank
     # columns of V^T spanning the row space
     _, s, vt = np.linalg.svd(B, full_matrices=False)
@@ -155,31 +154,31 @@ def build_kernel(n: int) -> ProjectionKernel:
     if r != expected:
         raise ArithmeticError(f"numerical rank {r} != C(n-1,2) = {expected}")
     basis = vt[:r].T  # (F, r), orthonormal columns
-    kern = ProjectionKernel(n, basis)
-    if abs(np.trace(kern.K) - expected) > 1e-8:
+    if abs(np.sum(basis * basis) - expected) > 1e-8:
         raise ArithmeticError("kernel trace drifted from the projection rank")
-    if np.abs(kern.K @ kern.K - kern.K).max() > 1e-10:
-        raise ArithmeticError("kernel is not idempotent within 1e-10")
-    return kern
+    if np.abs(basis.T @ basis - np.eye(r)).max() > 1e-10:
+        raise ArithmeticError("kernel is not idempotent within 1e-10: V^T V != I")
+    return ProjectionKernel(n, basis)
 
 
 def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     """Exact fixed-size determinantal sample via sequential conditioning.
 
     Chain rule for projection kernels: the next point is drawn with
-    probability K_ii / remaining-rank, then the kernel is replaced by its
-    Schur complement at the chosen index. Returns exactly rank faces; drift
-    in the conditioned diagonal is the first certificate-visible failure of
-    the chain, guarded here.
+    probability d_i / remaining-rank from the conditioned diagonal d of
+    K - C C^T, where C gains the Cholesky column c = (V V_i - C C_i^T)/sqrt(d_i)
+    per chosen face; no F x F array is formed. Returns exactly rank faces;
+    drift in d is the first certificate-visible failure of the chain.
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
-    K = kern.K.copy()
-    F = K.shape[0]
+    V = kern.basis
+    F = V.shape[0]
+    d = np.einsum("ij,ij->i", V, V)
+    C = np.empty((kern.rank, F))  # row t is the t-th Cholesky column
     chosen: list[int] = []
-    for step in range(kern.rank, 0, -1):
-        w = np.clip(np.diag(K).copy(), 0.0, None)
-        if chosen:
-            w[chosen] = 0.0
+    for t, step in enumerate(range(kern.rank, 0, -1)):
+        w = np.clip(d, 0.0, None)
+        w[chosen] = 0.0
         total = w.sum()
         if abs(total - step) > 1e-6 * max(step, 1):
             raise ArithmeticError(
@@ -189,11 +188,10 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         i = int(np.searchsorted(np.cumsum(w), u, side="right"))
         i = min(i, F - 1)
         chosen.append(i)
-        d = K[i, i]
-        if d <= 1e-9:
+        if d[i] <= 1e-9:
             raise ArithmeticError("conditioning picked a numerically null face")
-        col = K[:, i].copy()
-        K -= np.outer(col, col) / d
+        C[t] = (V @ V[i] - C[:t, i] @ C[:t]) / math.sqrt(d[i])
+        d -= C[t] * C[t]
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")
@@ -202,13 +200,10 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
 
 def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
     """P(sample is contained in Y) = det(I - K restricted to the complement
-    of Y); float path, see exact_kernel for the rational one."""
+    of Y) = det(V_Y^T V_Y) as V^T V = I; float path, see exact_kernel."""
     yset = {tuple(sorted(t)) for t in Y}
-    comp = [i for i, t in enumerate(kernel.triangles) if t not in yset]
-    if not comp:
-        return 1.0
-    sub = np.eye(len(comp)) - kernel.K[np.ix_(comp, comp)]
-    return float(np.linalg.det(sub))
+    VY = kernel.basis[[i for i, t in enumerate(kernel.triangles) if t in yset]]
+    return float(np.linalg.det(VY.T @ VY))
 
 
 @lru_cache(maxsize=8)

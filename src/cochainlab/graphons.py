@@ -52,6 +52,9 @@ class StepKernel:
             self._validate()
 
     def _validate(self):
+        for field, arr in (("part measures", self.measures), ("values", self.values)):
+            if not self.exact and not np.isfinite(arr).all():
+                raise ValueError(f"{field} must be finite, found NaN or infinity")
         if any(m <= 0 for m in self.measures):
             raise ValueError("part measures must be positive")
         total = self.measures.sum()

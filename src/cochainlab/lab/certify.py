@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chisquare
 
 from ..cochains import (
     Cochain,
@@ -137,8 +136,7 @@ def _check_kernel(checks: list, trees5) -> None:
     )
 
     corrupted = build_kernel(5)
-    corrupted.K[0, 1] += 0.05
-    corrupted.K[1, 0] += 0.05
+    corrupted.basis[0, 1] += 0.05
     err2 = worst_error(corrupted)
     checks.append(
         CertCheck(
@@ -151,6 +149,7 @@ def _check_kernel(checks: list, trees5) -> None:
 
 
 def _check_sampler(checks: list, trees5, seed: int, quick: bool) -> None:
+    from scipy.stats import chisquare  # deferred: importing it takes ~1 s
     kern = build_kernel(5)
     rng = np.random.default_rng([seed & 0x7FFFFFFF, 11])
     cells = {X.triangles: 0 for X, _ in trees5}

@@ -24,11 +24,12 @@ def _num_to_json(v):
 
 
 def _num_from_json(v, exact: bool):
-    if isinstance(v, str):
+    if not (exact or isinstance(v, str)):
+        return float(v)
+    try:
         return Fraction(v)
-    if exact:
-        return Fraction(v)
-    return float(v)
+    except (ZeroDivisionError, OverflowError):  # "1/0", or Infinity read exactly
+        raise ValueError(f"number {v!r} is not a finite fraction") from None
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,42 @@ def test_bad_group_flag_exits_two(capsys):
 def test_fk_bad_eps_exits_two(kernel_file, capsys):
     assert run(["graphon", "fk", "--in", kernel_file, "--eps", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _corrupt_kernel(kernel_file, tmp_path, path, value):
+    with open(kernel_file) as fh:
+        doc = json.load(fh)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))  # json writes NaN/Infinity literals
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "sub, path, value, message",
+    [
+        ("b", ("part_measures", 0), float("nan"), "part measures must be finite"),
+        ("cutnorm", ("values", 0, 0, 0), float("inf"), "values must be finite"),
+        ("cutnorm", ("part_measures", 0), "1/0", "'1/0' is not a finite fraction"),
+    ],
+)
+def test_graphon_rejects_bad_numbers(kernel_file, tmp_path, capsys, sub, path, value, message):
+    bad = _corrupt_kernel(kernel_file, tmp_path, path, value)
+    assert run(["graphon", sub, "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_graphon_exact_rejects_infinity(kernel_file, tmp_path, capsys):
+    bad = _corrupt_kernel(kernel_file, tmp_path, ("values", 0, 0, 0), float("inf"))
+    assert run(["graphon", "convolve", "--exact", "--in", bad]) == 2
+    assert "number inf is not a finite fraction" in capsys.readouterr().err
+
+
+def test_sample_hypertree_caps_n(capsys):
+    assert run(["sample", "--model", "hypertree", "--n", "31"]) == 2
+    assert "capped at n = 30" in capsys.readouterr().err

@@ -27,6 +27,7 @@ from cochainlab.complexes import (
 )
 from cochainlab.groups import Group
 from cochainlab.homology import boundary_matrices, smith_normal_form
+from cochainlab.lab.config import ExperimentConfig
 
 
 def test_two_complex_normalizes():
@@ -108,7 +109,7 @@ def test_linial_meshulam_extremes():
 def test_kernel_invariants():
     for n in (4, 5, 6):
         kern = build_kernel(n)
-        K = kern.K
+        K = kern.basis @ kern.basis.T
         F = math.comb(n, 3)
         assert K.shape == (F, F)
         assert np.allclose(K, K.T, atol=1e-12)
@@ -120,7 +121,8 @@ def test_kernel_invariants():
 def test_kernel_diagonal_n4():
     # at n = 4 every triangle has inclusion probability rank/faces = 3/4
     kern = build_kernel(4)
-    assert np.allclose(np.diag(kern.K), 0.75, atol=1e-12)
+    K = kern.basis @ kern.basis.T
+    assert np.allclose(np.diag(K), 0.75, atol=1e-12)
 
 
 def test_subset_probability_matches_exact_kernel():
@@ -258,6 +260,51 @@ def test_sample_hypertree_accepts_kernel_object():
     T = sample_hypertree(kern, rng)
     assert isinstance(T, TwoComplex)
     assert T.num_faces == kern.rank
+
+
+def _schur_sample_hypertree(kern, rng):
+    """Reference sampler: sequential Schur complements of the dense F x F
+    kernel K = V V^T, with the same draws and guards as sample_hypertree."""
+    K = kern.basis @ kern.basis.T
+    F = K.shape[0]
+    chosen: list[int] = []
+    for step in range(kern.rank, 0, -1):
+        w = np.clip(np.diag(K).copy(), 0.0, None)
+        if chosen:
+            w[chosen] = 0.0
+        total = w.sum()
+        if abs(total - step) > 1e-6 * max(step, 1):
+            raise ArithmeticError(
+                f"conditioned trace {total} drifted from remaining rank {step}"
+            )
+        u = rng.random() * total
+        i = int(np.searchsorted(np.cumsum(w), u, side="right"))
+        i = min(i, F - 1)
+        chosen.append(i)
+        d = K[i, i]
+        if d <= 1e-9:
+            raise ArithmeticError("conditioning picked a numerically null face")
+        col = K[:, i].copy()
+        K -= np.outer(col, col) / d
+    tris = [kern.triangles[i] for i in chosen]
+    if len(set(tris)) != kern.rank:
+        raise ArithmeticError("determinantal sample produced a repeated face")
+    return TwoComplex(kern.n, tris)
+
+
+def test_sample_hypertree_matches_schur_reference():
+    for n in range(5, 13):
+        kern = build_kernel(n)
+        for seed in range(3):
+            got = sample_hypertree(kern, np.random.default_rng([seed, n]))
+            want = _schur_sample_hypertree(kern, np.random.default_rng([seed, n]))
+            assert got.triangles == want.triangles, (n, seed)
+    kern = build_kernel(16)
+    cfg = ExperimentConfig(seed=0)
+    for rep in range(2):
+        got = sample_hypertree(kern, cfg.replica_rng("ez1", 16, rep))
+        want = _schur_sample_hypertree(kern, cfg.replica_rng("ez1", 16, rep))
+        assert got.triangles == want.triangles, rep
 
 
 def test_enumerate_counts():
