@@ -267,51 +267,64 @@ class CutNormTooLarge(ValueError):
     """Raised when an exact cut norm is requested beyond the part limit."""
 
 
-def _mask_bits(k: int, start: int, stop: int) -> np.ndarray:
-    """Rows = subset indicator vectors for masks in [start, stop)."""
-    masks = np.arange(start, stop, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(k)) & 1).astype(float)
+_TABLE_ROWS = 13  # rows in the low subset-sum table: 2^13 masks of m floats
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Column sums of every subset of ``rows`` (r, m), stored as (m, 2^r):
+    column ``mask`` sums the rows whose bits are set in ``mask``."""
+    r, m = rows.shape
+    out = np.zeros((m, 1 << r))
+    for b in range(r):
+        h = 1 << b
+        out[:, h : 2 * h] = out[:, :h] + rows[b][:, None]
+    return out
 
 
 def max_box_exact(A: np.ndarray, return_witness: bool = False):
     """max over S, T subseteq rows/cols of |sum_{i in S, j in T} A[i, j]|.
 
-    Exhaustive over S (2^k masks, chunked); T greedy per sign. A is the
-    already measure-weighted matrix, so this is the cut norm contribution
-    of one slice.
+    Exhaustive over S (2^k masks); T greedy per sign. A is the already
+    measure-weighted matrix, so this is the cut norm contribution of one
+    slice. Meet in the middle: the column sums of every subset of the low
+    rows and of the high rows are tabulated once, so each mask costs m
+    additions. For a fixed S the best positive box sums the positive column
+    sums, and the best negative one is that less the total of S. Masks are
+    scanned in increasing order; the first maximum wins. The value returned
+    is the witness box's sum in exact rounding (math.fsum), so it depends on
+    (S, T) alone, not on the order in which the scan added.
     """
-    k = A.shape[0]
+    k, m = A.shape
     if k > EXACT_CUT_LIMIT:
         raise CutNormTooLarge(
             f"{k} parts exceeds the exact cut-norm limit {EXACT_CUT_LIMIT}; "
             "use the heuristic lower bound instead"
         )
+    lo = min(k, _TABLE_ROWS)
+    low = _subset_sums(A[:lo])  # (m, 2^lo)
+    high = _subset_sums(A[lo:])  # (m, 2^(k - lo))
+    low_tot = low.sum(axis=0)
+    high_tot = high.sum(axis=0)
     best = 0.0
     best_mask = 0
     best_sign = 1.0
-    chunk = 1 << 14
-    for start in range(0, 1 << k, chunk):
-        stop = min(start + chunk, 1 << k)
-        bits = _mask_bits(k, start, stop)
-        cols = bits @ A  # (masks, k) column sums over S
-        pos = np.where(cols > 0, cols, 0.0).sum(axis=1)
-        neg = np.where(cols < 0, cols, 0.0).sum(axis=1)
-        cand = np.maximum(pos, -neg)
+    for h in range(high.shape[1]):
+        cols = low + high[:, h, None]  # column sums over S, one mask per column
+        pos = np.maximum(cols, 0.0, out=cols).sum(axis=0)
+        negabs = pos - (low_tot + high_tot[h])
+        cand = np.maximum(pos, negabs)
         i = int(np.argmax(cand))
         if cand[i] > best:
             best = float(cand[i])
-            best_mask = start + i
-            best_sign = 1.0 if pos[i] >= -neg[i] else -1.0
-    if not return_witness:
-        return best
+            best_mask = (h << lo) | i
+            best_sign = 1.0 if pos[i] >= negabs[i] else -1.0
     S = [i for i in range(k) if (best_mask >> i) & 1]
-    colsum = A[S].sum(axis=0) if S else np.zeros(A.shape[1])
-    if best_sign > 0:
-        T = [j for j in range(A.shape[1]) if colsum[j] > 0]
-    else:
-        T = [j for j in range(A.shape[1]) if colsum[j] < 0]
-    value = float(colsum[T].sum()) if T else 0.0
-    return best, S, T, value
+    colsum = A[S].sum(axis=0)
+    T = [j for j in range(m) if best_sign * colsum[j] > 0]
+    value = math.fsum(A[np.ix_(S, T)].flat)
+    if not return_witness:
+        return abs(value)
+    return abs(value), S, T, value
 
 
 def max_box_heuristic(A: np.ndarray, rng: np.random.Generator, restarts: int = 24):

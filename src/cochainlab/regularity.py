@@ -220,16 +220,15 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
     rounds = 0
     while True:
         found = False
+        swept = {}  # slice -> exact max box of its residual under the current P
         for g, A in enumerate(slices):
             if per_slice_rounds[g] >= cap:
                 continue
             stepped, _ = _step_weighted([A], mu, P)
             D = A - stepped[0]
-            if exact_oracle:
-                best, S, T, boxval = _slice_box(D, mu, True, rng)
-            else:
-                best, S, T, boxval = _slice_box(D, mu, False, rng)
+            best, S, T, boxval = _slice_box(D, mu, exact_oracle, rng)
             if best <= threshold:
+                swept[g] = best
                 continue
             e_before = _slice_energy(A, mu, P)
             P = P.refine_by_sets(S, T)
@@ -259,6 +258,9 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
     residual = 0.0
     certified = exact_oracle
     for g, A in enumerate(slices):
+        if exact_oracle and g in swept:  # the final sweep scanned this slice under P
+            residual += swept[g]
+            continue
         stepped, _ = _step_weighted([A], mu, P)
         D = (A - stepped[0]) * np.outer(mu, mu)
         if exact_oracle:

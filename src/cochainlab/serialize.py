@@ -28,7 +28,7 @@ def _num_from_json(v, exact: bool):
         return float(v)
     try:
         return Fraction(v)
-    except (ZeroDivisionError, OverflowError):  # "1/0", or Infinity read exactly
+    except (ZeroDivisionError, OverflowError, ValueError):  # "1/0"; Infinity or NaN read exactly
         raise ValueError(f"number {v!r} is not a finite fraction") from None
 
 

@@ -201,6 +201,14 @@ def test_graphon_exact_rejects_infinity(kernel_file, tmp_path, capsys):
     assert "number inf is not a finite fraction" in capsys.readouterr().err
 
 
+def test_graphon_exact_rejects_nan(kernel_file, tmp_path, capsys):
+    bad = _corrupt_kernel(kernel_file, tmp_path, ("part_measures", 0), float("nan"))
+    assert run(["graphon", "convolve", "--exact", "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert "number nan is not a finite fraction" in err
+    assert "Traceback" not in err
+
+
 def test_sample_hypertree_caps_n(capsys):
     assert run(["sample", "--model", "hypertree", "--n", "31"]) == 2
     assert "capped at n = 30" in capsys.readouterr().err

@@ -1,0 +1,32 @@
+"""Smoke tests: the demos run from a source checkout and exit cleanly."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_demo(name: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_regularity_demo_certifies_its_residual():
+    out = _run_demo("regularity_demo.py")
+    residual = [line for line in out.splitlines() if line.startswith("residual cut norm")]
+    assert len(residual) == 1
+    assert residual[0].endswith("(certified)")
+
+
+def test_kernel_calculus_demo_runs():
+    assert "cut distance to uniform" in _run_demo("kernel_calculus.py")

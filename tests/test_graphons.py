@@ -185,6 +185,48 @@ def test_max_box_witness_reproduces_value():
     assert hval <= best + 1e-12
 
 
+def _chunked_max_box(A):
+    """Reference oracle: every row subset as an indicator row, times A, in
+    chunks of 2^14 masks; first maximum in increasing mask order."""
+    k = A.shape[0]
+    best, best_mask, best_sign = 0.0, 0, 1.0
+    chunk = 1 << 14
+    for start in range(0, 1 << k, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << k), dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(k)) & 1).astype(float)
+        cols = bits @ A
+        pos = np.where(cols > 0, cols, 0.0).sum(axis=1)
+        neg = np.where(cols < 0, cols, 0.0).sum(axis=1)
+        cand = np.maximum(pos, -neg)
+        i = int(np.argmax(cand))
+        if cand[i] > best:
+            best = float(cand[i])
+            best_mask = start + i
+            best_sign = 1.0 if pos[i] >= -neg[i] else -1.0
+    S = [i for i in range(k) if (best_mask >> i) & 1]
+    colsum = A[S].sum(axis=0) if S else np.zeros(A.shape[1])
+    T = [j for j in range(A.shape[1]) if best_sign * colsum[j] > 0]
+    return best, S, T
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 13, 14, 17, 20])
+@pytest.mark.parametrize("shape", ["square", "symmetric", "rectangular"])
+def test_max_box_matches_chunked_reference(k, shape):
+    rng = np.random.default_rng([k, len(shape)])
+    m = int(rng.integers(1, 30)) if shape == "rectangular" else k
+    A = rng.random((k, m)) - 0.5
+    if shape == "symmetric":
+        A = A + A.T
+    ref, ref_S, ref_T = _chunked_max_box(A)
+    best, S, T, signed = max_box_exact(A, return_witness=True)
+    assert best == pytest.approx(ref, abs=1e-12)
+    assert max_box_exact(A) == best
+    assert abs(signed) == best
+    assert A[np.ix_(S, T)].sum() == pytest.approx(signed, abs=1e-12)
+    if shape != "symmetric":  # there (S, T) and (T, S) tie exactly
+        assert (S, T) == (ref_S, ref_T)
+
+
 # --------------------------------------------------------------------------
 # cut distance
 

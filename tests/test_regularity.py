@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cochainlab import regularity
 from cochainlab.graphons import StepKernel, cut_norm, kernel_difference, random_kernel
 from cochainlab.groups import Group
 from cochainlab.regularity import (
@@ -220,6 +221,31 @@ def test_fk_cap_stops_runaway():
     assert res.rounds <= cap
     if res.capped_slices:
         assert res.residual > res.threshold
+
+
+def test_fk_residual_reuses_final_sweep(monkeypatch):
+    # acceptance criterion 9's planted two-block matrix, seed 2026
+    blocks = np.kron(np.array([[0.9, -0.9], [-0.9, 0.9]]), np.ones((10, 10)))
+    M = blocks + np.random.default_rng([2026, 91]).uniform(-0.05, 0.05, size=(20, 20))
+    M = (M + M.T) / 2
+    calls = []
+    oracle = regularity.max_box_exact
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape)
+        return oracle(A, *args, **kwargs)
+
+    monkeypatch.setattr(regularity, "max_box_exact", counted)
+    res = fk_decompose(M, 0.2, np.random.default_rng([2026, 92]))
+    # one scan per accepted round plus the final sweep; the residual reuses it
+    assert len(calls) == res.rounds + 1
+    mu = np.full(20, 1.0 / 20)
+    D = (M - step_matrix(M, res.partition)) * np.outer(mu, mu)
+    assert res.residual == oracle(D)
+    half = list(range(10))
+    assert res.rounds == 1
+    assert res.partition.blocks == (tuple(half), tuple(range(10, 20)))
+    assert [(t["S"], t["T"]) for t in res.trace] == [(half, half)]
 
 
 # ---------------------------------------------------------------------------
