@@ -112,7 +112,7 @@ def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoCom
 def _reduced_boundary(n: int) -> np.ndarray:
     """Rows of d2 indexed by edges inside [n-1]; these span the full row
     space: a 1-cycle supported on the star of vertex n would live on a tree.
-    Shape (C(n-1,2), C(n,3)), integer."""
+    Shape (C(n-1,2), C(n,3)), int64, one column per all_triangles(n) entry."""
     bm = boundary_matrices(full_two_skeleton(n))
     keep = [i for i, (u, v) in enumerate(edge_list(n)) if v <= n - 1]
     return bm.d2[keep, :]
@@ -200,7 +200,8 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
 
 def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
     """P(sample is contained in Y) = det(I - K restricted to the complement
-    of Y) = det(V_Y^T V_Y) as V^T V = I; float path, see exact_kernel."""
+    of Y) = det(V_Y^T V_Y) as V^T V = I; float path, see
+    avoidance_probability_exact."""
     yset = {tuple(sorted(t)) for t in Y}
     VY = kernel.basis[[i for i, t in enumerate(kernel.triangles) if t in yset]]
     return float(np.linalg.det(VY.T @ VY))
@@ -254,19 +255,28 @@ def _fraction_inverse(A):
     return [row[r:] for row in aug]
 
 
+@lru_cache(maxsize=8)
+def _avoidance_boundary(n: int) -> np.ndarray:
+    """_reduced_boundary(n), cached read-only for the exact avoidance path
+    only: build_kernel needs it once per n, and holding it there costs RSS."""
+    B = _reduced_boundary(n)
+    B.flags.writeable = False
+    return B
+
+
 def avoidance_probability_exact(n: int, Y) -> Fraction:
-    """Exact P(sample within Y): det(D I - N) over the complement block,
-    divided by D^|complement|; big-int Bareiss, no floats anywhere."""
-    N, D = exact_kernel(n)
-    yset = {tuple(sorted(t)) for t in Y}
-    tris = all_triangles(n)
-    comp = [i for i, t in enumerate(tris) if t not in yset]
-    if not comp:
-        return Fraction(1)
-    a = len(comp)
-    sub = [[(D if i == j else 0) - N[ci, cj] for j, cj in enumerate(comp)] for i, ci in enumerate(comp)]
-    det = bareiss_det(sub)
-    return Fraction(det, D**a)
+    """Exact P(sample within Y) = det(B_Y B_Y^T) / n^C(n-2,2).
+
+    Cauchy-Binet: det(B_Y B_Y^T) sums det(B_S)^2 over the C(n-1,2)-subsets S
+    of Y, the squared-torsion weights of the hypertrees inside Y, and the
+    full-skeleton sum is n^C(n-2,2). One r x r Bareiss determinant on small
+    integers, r = C(n-1,2); no floats anywhere.
+    """
+    B = _avoidance_boundary(n)
+    index = _triangle_index_map(n)
+    cols = sorted({index[tuple(sorted(t))] for t in Y})
+    BY = B[:, cols]
+    return Fraction(bareiss_det(BY @ BY.T), n ** math.comb(n - 2, 2))
 
 
 def log_avoidance_probability_exact(n: int, Y) -> float:

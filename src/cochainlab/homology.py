@@ -46,39 +46,48 @@ def prime_factors(x: int) -> list[int]:
     return out
 
 
+# Size bounds of the dense boundary d2, checked before anything is allocated:
+# C(n,2) edge rows (n <= 1024; the edge list is cached per n) and int64 cells
+# (256 MB).
+MAX_BOUNDARY_EDGES = 1 << 19
+MAX_BOUNDARY_CELLS = 1 << 25
+
+
 @dataclass(frozen=True)
 class BoundaryMatrices:
-    """Integer chain maps of a 2-complex with complete 1-skeleton.
+    """Integer triangle boundary of a 2-complex with complete 1-skeleton.
 
-    d1: (n, E) vertex-by-edge incidence, edge (u, v) gets -1 at u, +1 at v.
     d2: (E, F) edge-by-triangle; triangle (u < v < w) gets +1 at uv, -1 at uw,
-    +1 at vw. Composition d1 @ d2 vanishes identically.
+    +1 at vw. The vertex-by-edge incidence d1 is not built; d1 @ d2 = 0 is
+    checked in the tests.
     """
 
     n: int
     edges: tuple
     triangles: tuple
-    d1: np.ndarray
     d2: np.ndarray
 
 
 def boundary_matrices(X) -> BoundaryMatrices:
     n = X.n
     triangles = tuple(X.triangles)
+    E = n * (n - 1) // 2
+    if E > MAX_BOUNDARY_EDGES:
+        raise ValueError(
+            f"boundary matrix needs C(n,2) <= {MAX_BOUNDARY_EDGES} edge rows; n = {n} has {E}"
+        )
+    if E * len(triangles) > MAX_BOUNDARY_CELLS:
+        raise ValueError(
+            f"boundary matrix needs C(n,2) x faces <= {MAX_BOUNDARY_CELLS} cells;"
+            f" n = {n} with {len(triangles)} faces has {E * len(triangles)}"
+        )
     edges = edge_list(n)
-    E = len(edges)
-    d1 = np.zeros((n, E), dtype=np.int64)
-    for i, (u, v) in enumerate(edges):
-        d1[u - 1, i] = -1
-        d1[v - 1, i] = 1
     d2 = np.zeros((E, len(triangles)), dtype=np.int64)
     for j, (u, v, w) in enumerate(triangles):
         d2[edge_index(n, u, v), j] = 1
         d2[edge_index(n, u, w), j] = -1
         d2[edge_index(n, v, w), j] = 1
-    if len(triangles) and np.abs(d1 @ d2).max() != 0:
-        raise AssertionError("boundary composition d1 d2 must vanish")
-    return BoundaryMatrices(n, edges, triangles, d1, d2)
+    return BoundaryMatrices(n, edges, triangles, d2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,28 @@ def test_unknown_subcommand_exits_two():
 def test_missing_input_file_exits_two(capsys):
     assert run(["homology", "--in", "/nonexistent/x.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_homology_rejects_oversized_n(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 100000, "triangles": []}))
+    assert run(["homology", "--in", str(path)]) == 2
+    assert "C(n,2) <= 524288 edge rows; n = 100000" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["layer-audit", "--n", "5", "--samples", "5"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cochainlab", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_sample_deterministic_csv(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cochainlab.cochains import Cochain, edge_list, random_cochain
+from cochainlab.cochains import Cochain, cocycle_triangles, edge_list, random_cochain
 from cochainlab.complexes import (
     ProjectionKernel,
     TwoComplex,
@@ -25,8 +25,8 @@ from cochainlab.complexes import (
     triangle_edge_counts,
     triangle_index,
 )
-from cochainlab.groups import Group
-from cochainlab.homology import boundary_matrices, smith_normal_form
+from cochainlab.groups import Group, SymmetricDistribution
+from cochainlab.homology import bareiss_det, boundary_matrices, smith_normal_form
 from cochainlab.lab.config import ExperimentConfig
 
 
@@ -178,6 +178,40 @@ def test_avoidance_extreme_sets():
     assert log_avoidance_probability_exact(5, tris) == 0.0
     assert avoidance_probability_exact(5, []) == 0
     assert log_avoidance_probability_exact(5, []) == -math.inf
+
+
+def _complement_block_avoidance(n, Y):
+    """Reference: P(sample within Y) = det(D I - N) over the complement of Y,
+    divided by D^|complement|, from the rational kernel N / D."""
+    N, D = exact_kernel(n)
+    yset = {tuple(sorted(t)) for t in Y}
+    comp = [i for i, t in enumerate(all_triangles(n)) if t not in yset]
+    if not comp:
+        return Fraction(1)
+    sub = [[(D if ci == cj else 0) - N[ci, cj] for cj in comp] for ci in comp]
+    return Fraction(bareiss_det(sub), D ** len(comp))
+
+
+def test_avoidance_cauchy_binet_matches_complement_block():
+    # the sets the layer audit draws (seed 3), random face sets, and the extremes
+    cfg = ExperimentConfig(seed=3)
+    nu = SymmetricDistribution.uniform(Group((2,)))
+    rng = np.random.default_rng(18)
+    strict = {"cocycle": 0, "random": 0}
+    for n in range(4, 9):
+        tris = all_triangles(n)
+        cocycle = [
+            cocycle_triangles(random_cochain(n, nu, cfg.replica_rng("layer", n, rep)))
+            for rep in range(12)
+        ]
+        random = [[t for t in tris if rng.random() < q] for q in (0.3, 0.6, 0.75, 0.85, 0.9)]
+        for kind, sets in (("cocycle", cocycle), ("random", random)):
+            probs = [avoidance_probability_exact(n, Y) for Y in sets]
+            assert probs == [_complement_block_avoidance(n, Y) for Y in sets]
+            strict[kind] += sum(0 < p < 1 for p in probs)
+        assert avoidance_probability_exact(n, []) == _complement_block_avoidance(n, []) == 0
+        assert avoidance_probability_exact(n, tris) == _complement_block_avoidance(n, tris) == 1
+    assert min(strict.values()) >= 5, strict
 
 
 def test_avoidance_vs_enumeration_n4():

@@ -26,17 +26,34 @@ from cochainlab.homology import (
 from cochainlab.lab.certify import PROJECTIVE_PLANE_6
 
 
+def _vertex_edge_incidence(n):
+    """d1: (n, E), edge (u, v) gets -1 at u, +1 at v."""
+    d1 = np.zeros((n, n * (n - 1) // 2), dtype=np.int64)
+    for i, (u, v) in enumerate(edge_list(n)):
+        d1[u - 1, i] = -1
+        d1[v - 1, i] = 1
+    return d1
+
+
 def test_boundary_squares_to_zero():
     X = full_two_skeleton(6)
     B = boundary_matrices(X)
-    assert (B.d1 @ B.d2 == 0).all()
+    assert (_vertex_edge_incidence(6) @ B.d2 == 0).all()
 
 
 def test_boundary_shapes():
     X = full_two_skeleton(5)
     B = boundary_matrices(X)
-    assert B.d1.shape == (5, 10)
+    assert _vertex_edge_incidence(5).shape == (5, 10)
     assert B.d2.shape == (10, 10)
+
+
+def test_boundary_size_checked_before_allocation():
+    with pytest.raises(ValueError, match=r"C\(n,2\) <= 524288 edge rows"):
+        boundary_matrices(TwoComplex(1025, []))
+    faces = [(1, 2, w) for w in range(3, 70)]
+    with pytest.raises(ValueError, match=r"C\(n,2\) x faces <= 33554432 cells"):
+        boundary_matrices(TwoComplex(1024, faces))
 
 
 def _rank_oracle_mod_p(M, p):

@@ -125,6 +125,14 @@ def test_layer_audit_frequencies_sum_to_one():
     assert audit["min_slack"] >= -cfg.tolerance
 
 
+def test_layer_audit_is_exact_past_n8():
+    cfg = ExperimentConfig(seed=6, n_values=(10,), samples=12)
+    _, audit = run_layer_audit(cfg)
+    assert audit["audited"] == audit["samples"] == 12
+    assert audit["min_finite_slack"] is not None
+    assert audit["min_slack"] >= -cfg.tolerance
+
+
 def test_quick_certification_passes():
     report = run_certification(seed=0, quick=True)
     assert report.passed, report.table().to_csv()
