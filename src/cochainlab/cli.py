@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,12 +17,12 @@ from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _edge_index_map(n: int) -> dict:
     return {e: i for i, e in enumerate(edge_list(n))}
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cochains import edge_index, edge_list
-from .homology import bareiss_det, boundary_matrices, smith_normal_form
+from .homology import MAX_BOUNDARY_EDGES, bareiss_det, boundary_matrices, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,12 @@ class TwoComplex:
         return frozenset(self.triangles)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def all_triangles(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 3))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _triangle_index_map(n: int) -> dict:
     return {t: i for i, t in enumerate(all_triangles(n))}
 
@@ -80,11 +80,21 @@ def triangle_edge_counts(n: int, triangles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # samplers
 
+# Bernoulli faces are drawn over the full triangle list, so it is bounded
+# (n <= 185) before that list is built.
+MAX_LM_TRIANGLES = 1 << 20
+
+
 def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
     """One face per edge of K_n: each edge {u, v} picks the third vertex
     uniformly from the remaining n - 2; duplicates collapse."""
     if n < 3:
         raise ValueError("need n >= 3")
+    E = n * (n - 1) // 2
+    if E > MAX_BOUNDARY_EDGES:
+        raise ValueError(
+            f"one-out sampler needs C(n,2) <= {MAX_BOUNDARY_EDGES} edges; n = {n} has {E}"
+        )
     faces = []
     for u, v in edge_list(n):
         w = int(rng.integers(0, n - 2))
@@ -98,6 +108,12 @@ def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
 
 def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoComplex:
     """Bernoulli(c/n) faces, independently over all triangles."""
+    F = math.comb(n, 3)
+    if F > MAX_LM_TRIANGLES:
+        raise ValueError(
+            f"Linial-Meshulam sampler needs C(n,3) <= {MAX_LM_TRIANGLES} triangles;"
+            f" n = {n} has {F}"
+        )
     p = c / n
     if not 0 <= p <= 1:
         raise ValueError(f"face probability c/n = {p} out of [0, 1]")

@@ -3,10 +3,14 @@ cocycle counts for arbitrary finite abelian coefficients.
 
 Everything here is exact: bit-packed elimination for p = 2, int64 modular
 elimination for odd primes, arbitrary-precision integers for SNF and
-determinants. Complexes are duck-typed (anything with .n and .triangles).
+determinants. The SNF first eliminates +-1 pivots sparsely (boundary matrices
+have three +-1 entries per column, so nearly every pivot is a unit) and runs
+the dense min-abs loop only on the small core that is left. Complexes are
+duck-typed (anything with .n and .triangles).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,21 +33,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-def prime_factors(x: int) -> list[int]:
-    x = abs(int(x))
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1 if d == 2 else 2
-    if x > 1:
-        out.append(x)
-    return out
 
 
 # Size bounds of the dense boundary d2, checked before anything is allocated:
@@ -202,18 +191,69 @@ def bareiss_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def smith_normal_form(M) -> tuple[int, ...]:
-    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
+def _eliminate(M: np.ndarray) -> tuple[int, list[list[int]]]:
+    """Sparse exact elimination of unit pivots: (units, core).
+
+    Repeatedly takes a +-1 pivot (among live columns holding a unit, the one
+    with the fewest nonzeros; within it, the row with the fewest nonzeros)
+    and clears its column by row operations. Each step is unimodular and the
+    pivot row is then cleared by column operations that touch nothing else,
+    so SNF(M) = (1,) * units + SNF(core). The core keeps only the rows and
+    columns that are still nonzero.
+    """
+    rows: list[dict[int, int]] = [{} for _ in range(M.shape[0])]
+    cols: list[set[int]] = [set() for _ in range(M.shape[1])]
+    ri, ci = np.nonzero(M)
+    for i, j, v in zip(ri.tolist(), ci.tolist(), M[ri, ci].tolist()):
+        v = int(v)
+        if v:
+            rows[i][j] = v
+            cols[j].add(i)
+    heap = [(len(rs), j) for j, rs in enumerate(cols) if rs]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        count, c = heapq.heappop(heap)
+        if count != len(cols[c]):
+            continue  # stale entry; the live count was pushed when it changed
+        unit_rows = [i for i in cols[c] if rows[i][c] in (1, -1)]
+        if not unit_rows:
+            continue  # pushed again if a later step changes this column
+        r = min(unit_rows, key=lambda i: (len(rows[i]), i))
+        prow = rows[r]
+        a = prow[c]
+        for i in list(cols[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c] * a  # a * a = 1, so row[c] - f * a = 0
+            for j, v in prow.items():
+                x = row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        for j in prow:
+            cols[j].discard(r)
+        rows[r] = {}
+        units += 1
+        for j in prow:
+            if j != c and cols[j]:
+                heapq.heappush(heap, (len(cols[j]), j))
+    live = [j for j, rs in enumerate(cols) if rs]
+    core = [[row.get(j, 0) for j in live] for row in rows if row]
+    return units, core
+
+
+def _dense_smith(A: list[list[int]]) -> tuple[int, ...]:
+    """Nonzero elementary divisors of a dense integer matrix, given as a list
+    of rows of Python ints (modified in place).
 
     Min-abs pivoting, full row/column reduction, divisibility fix-up by row
-    absorption. Arbitrary precision throughout; the divisor count equals the
-    rank and their product is the lattice index (|det| for nonsingular
-    square input).
+    absorption.
     """
-    Mat = np.asarray(M)
-    if Mat.ndim != 2:
-        raise ValueError("need a matrix")
-    A = [[int(x) for x in row] for row in Mat]
     m = len(A)
     ncols = len(A[0]) if m else 0
     divisors: list[int] = []
@@ -299,6 +339,21 @@ def smith_normal_form(M) -> tuple[int, ...]:
     return tuple(divisors)
 
 
+def smith_normal_form(M) -> tuple[int, ...]:
+    """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
+
+    Unit pivots are eliminated sparsely first (_eliminate); the dense min-abs
+    loop (_dense_smith) runs on the remaining core only. Arbitrary precision
+    throughout; the divisor count equals the rank and their product is the
+    lattice index (|det| for nonsingular square input).
+    """
+    Mat = np.asarray(M)
+    if Mat.ndim != 2:
+        raise ValueError("need a matrix")
+    units, core = _eliminate(Mat)
+    return (1,) * units + _dense_smith(core)
+
+
 # ---------------------------------------------------------------------------
 # homology of 2-complexes (complete 1-skeleton throughout)
 
@@ -344,28 +399,24 @@ def count_cocycles(X, group) -> int:
     return total
 
 
+def _integral_summary(n: int, divisors) -> tuple[int, int]:
+    """(torsion order, minimum generator count) of H_1(X, Z) from the
+    elementary divisors of d2. The generator count is the free rank plus the
+    largest p-multiplicity among the divisors; the divisors form a chain
+    d_1 | d_2 | ..., so every prime of the first divisor > 1 divides all later
+    ones and that multiplicity is the number of divisors > 1."""
+    free = cycle_space_dim(n) - len(divisors)
+    return math.prod(divisors), free + sum(1 for d in divisors if d > 1)
+
+
 def torsion_order(X) -> int:
-    bm = boundary_matrices(X)
-    out = 1
-    for d in smith_normal_form(bm.d2):
-        out *= d
-    return out
+    return _integral_summary(X.n, smith_normal_form(boundary_matrices(X).d2))[0]
 
 
 def min_generators_h1(X) -> int:
     """Minimum generator count of H_1(X, Z): free rank plus the largest
     p-multiplicity among the torsion divisors; equals sup_p dim H_1(F_p)."""
-    bm = boundary_matrices(X)
-    divisors = smith_normal_form(bm.d2)
-    free = cycle_space_dim(X.n) - len(divisors)
-    best = 0
-    primes = set()
-    for d in divisors:
-        if d > 1:
-            primes.update(prime_factors(d))
-    for p in primes:
-        best = max(best, sum(1 for d in divisors if d % p == 0))
-    return free + best
+    return _integral_summary(X.n, smith_normal_form(boundary_matrices(X).d2))[1]
 
 
 def torsion_bound_ok(X) -> bool:
@@ -417,21 +468,7 @@ def homology_report(X, p: int | None = None, include_snf: bool = True) -> Homolo
         rank = rank_rational(bm.d2)
     dim_z1 = E - rank
     dim_h1 = cycle_space_dim(X.n) - rank
-    tor = None
-    mg = None
-    if divisors is not None:
-        tor = 1
-        for d in divisors:
-            tor *= d
-        free = cycle_space_dim(X.n) - len(divisors)
-        best = 0
-        primes = set()
-        for d in divisors:
-            if d > 1:
-                primes.update(prime_factors(d))
-        for q in primes:
-            best = max(best, sum(1 for d in divisors if d % q == 0))
-        mg = free + best
+    tor, mg = (None, None) if divisors is None else _integral_summary(X.n, divisors)
     return HomologyReport(
         n=X.n,
         num_faces=len(bm.triangles),

@@ -50,6 +50,35 @@ def test_homology_rejects_oversized_n(tmp_path, capsys):
     assert "C(n,2) <= 524288 edge rows; n = 100000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "model, bound",
+    [
+        ("one-out", "one-out sampler needs C(n,2) <= 524288 edges; n = 100000"),
+        ("lm", "Linial-Meshulam sampler needs C(n,3) <= 1048576 triangles; n = 100000"),
+    ],
+)
+def test_sample_rejects_oversized_n(model, bound, capsys):
+    assert run(["sample", "--model", model, "--n", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert bound in err
+    assert "Traceback" not in err
+
+
+def test_arithmetic_error_exits_two(tmp_path, monkeypatch, capsys):
+    import cochainlab.cli as cli
+
+    def fail(*args, **kwargs):
+        raise ArithmeticError("float determinant too ambiguous to round")
+
+    monkeypatch.setattr(cli, "homology_report", fail)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 4, "triangles": [[1, 2, 3]]}))
+    assert run(["homology", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: float determinant too ambiguous to round" in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["layer-audit", "--n", "5", "--samples", "5"]
     src = Path(__file__).resolve().parent.parent / "src"

@@ -27,6 +27,13 @@ def test_edge_list_order_and_index():
         assert edge_index(n, v, u) == i
 
 
+def test_edge_list_cache_is_bounded():
+    for n in range(2, 42):
+        assert len(edge_list(n)) == n * (n - 1) // 2
+        assert edge_index(n, 1, n) == n - 2
+    assert edge_list.cache_info().currsize <= 16
+
+
 def test_antisymmetry():
     nu = _uniform((4,))
     f = random_cochain(6, nu, np.random.default_rng(0))

@@ -4,11 +4,19 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from cochainlab.cochains import edge_list
-from cochainlab.complexes import TwoComplex, full_two_skeleton
+from cochainlab.complexes import (
+    TwoComplex,
+    full_two_skeleton,
+    sample_hypertree,
+    sample_one_out,
+)
 from cochainlab.groups import Group
 from cochainlab.homology import (
+    _dense_smith,
+    _eliminate,
     bareiss_det,
     boundary_matrices,
     count_cocycles,
@@ -24,6 +32,7 @@ from cochainlab.homology import (
     torsion_order,
 )
 from cochainlab.lab.certify import PROJECTIVE_PLANE_6
+from cochainlab.lab.config import ExperimentConfig
 
 
 def _vertex_edge_incidence(n):
@@ -226,3 +235,79 @@ def test_snf_big_entries_stay_exact():
     d = smith_normal_form(M)
     prod = d[0] * d[1]
     assert prod == abs(2**80 - 1)
+
+
+def _dense_divisors(M):
+    """The dense min-abs loop alone, on the whole matrix."""
+    return _dense_smith([[int(x) for x in row] for row in np.asarray(M)])
+
+
+def test_snf_unit_elimination_matches_dense():
+    cfg = ExperimentConfig(3)
+    cases = [
+        boundary_matrices(sample_one_out(n, cfg.replica_rng("betti", n, rep))).d2
+        for n in (14, 18, 20)
+        for rep in range(3)
+    ]
+    cases += [
+        boundary_matrices(sample_hypertree(n, np.random.default_rng([n, rep]))).d2
+        for n in (6, 7, 8)
+        for rep in range(2)
+    ]
+    cases.append(boundary_matrices(PROJECTIVE_PLANE_6).d2)
+    cases += [boundary_matrices(full_two_skeleton(n)).d2 for n in range(4, 8)]
+    cases.append(np.array([[2**40, 1], [1, 2**40]], dtype=object))
+    cores = 0
+    for M in cases:
+        assert smith_normal_form(M) == _dense_divisors(M)
+        cores += bool(_eliminate(np.asarray(M))[1])
+    assert cores >= 1
+    # the projective plane's core is where its torsion lives
+    units, core = _eliminate(boundary_matrices(PROJECTIVE_PLANE_6).d2)
+    assert units == 9 and _dense_smith(core) == (2,)
+
+
+_SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])
+_DENSE_ENTRIES = st.integers(-9, 9)
+
+
+@st.composite
+def _int_matrices(draw, square=False):
+    m = draw(st.integers(0, 10))
+    k = m if square else draw(st.integers(0, 10))
+    entries = draw(st.sampled_from([_SPARSE_ENTRIES, _DENSE_ENTRIES]))
+    values = draw(st.lists(entries, min_size=m * k, max_size=m * k))
+    return np.array(values, dtype=np.int64).reshape(m, k)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_int_matrices())
+def test_snf_property_matches_dense_and_chains(M):
+    d = smith_normal_form(M)
+    assert d == _dense_divisors(M)
+    assert all(x > 0 for x in d)
+    assert all(b % a == 0 for a, b in zip(d, d[1:]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_int_matrices(square=True))
+def test_snf_property_product_is_abs_det(M):
+    d = smith_normal_form(M)
+    det = bareiss_det(M)
+    if det:
+        assert math.prod(d) == abs(det)
+    else:
+        assert len(d) < M.shape[0]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_snf_property_permutation_and_sign_invariant(data):
+    M = data.draw(_int_matrices())
+    m, k = M.shape
+    P = data.draw(st.permutations(range(m)))
+    Q = data.draw(st.permutations(range(k)))
+    rs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m)))
+    cs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)))
+    M2 = M[list(P)][:, list(Q)] * rs.reshape(m, 1) * cs.reshape(1, k)
+    assert smith_normal_form(M2) == smith_normal_form(M)
