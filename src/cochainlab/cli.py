@@ -60,6 +60,11 @@ def _parse_group(text: str) -> Group:
         raise argparse.ArgumentTypeError(f"bad group {text!r}: {e}")
 
 
+# Every valid n lies in 3..1024 (C(n,2) <= MAX_BOUNDARY_EDGES), so a list
+# longer than that range is rejected before a range is materialised.
+MAX_INT_LIST = 1022
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     """Accepts '6,8,10' or a range '6:20:2' (stop inclusive)."""
     try:
@@ -67,10 +72,16 @@ def _parse_ints(text: str) -> tuple[int, ...]:
             parts = [int(x) for x in text.split(":")]
             start, stop = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
-            return tuple(range(start, stop + 1, step))
-        return tuple(int(x) for x in text.split(","))
+            values = range(start, stop + 1, step)
+        else:
+            values = [int(x) for x in text.split(",")]
     except (ValueError, IndexError):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    if values[MAX_INT_LIST:]:  # a lazy slice: len() overflows past 2^63 values
+        raise argparse.ArgumentTypeError(
+            f"integer list {text!r} has more than {MAX_INT_LIST} values"
+        )
+    return tuple(values)
 
 
 def _emit(text: str, out: str | None):

@@ -1,12 +1,15 @@
 """Exact homological linear algebra: GF(p) ranks, Smith normal form over Z,
 cocycle counts for arbitrary finite abelian coefficients.
 
-Everything here is exact: bit-packed elimination for p = 2, int64 modular
-elimination for odd primes, arbitrary-precision integers for SNF and
-determinants. The SNF first eliminates +-1 pivots sparsely (boundary matrices
-have three +-1 entries per column, so nearly every pivot is a unit) and runs
-the dense min-abs loop only on the small core that is left. Complexes are
-duck-typed (anything with .n and .triangles).
+Everything here is exact. Matrices are held as sparse rows of Python ints;
+the homology of a complex reads its face list directly, one row of d2^T per
+face, and never builds the dense boundary. One GF(p) elimination serves every
+rank: XOR of bit-mask rows for p = 2, dict rows of residues for odd primes,
+each pivoting on a row's largest column. The SNF first eliminates +-1 pivots
+sparsely (a face row has three +-1 entries, so nearly every pivot is a unit)
+and runs the dense min-abs loop on arbitrary-precision integers only on the
+small core that is left. Complexes are duck-typed (anything with .n and
+.triangles).
 """
 from __future__ import annotations
 
@@ -35,11 +38,27 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# Size bounds of the dense boundary d2, checked before anything is allocated:
+# Size bounds of the boundary d2, checked before anything is allocated:
 # C(n,2) edge rows (n <= 1024; the edge list is cached per n) and int64 cells
-# (256 MB).
+# (256 MB) of the dense matrix. The face-row path holds only the nonzeros but
+# keeps the same bounds, so every homology entry point accepts the same input.
 MAX_BOUNDARY_EDGES = 1 << 19
 MAX_BOUNDARY_CELLS = 1 << 25
+
+
+def _check_boundary_size(n: int, num_faces: int) -> int:
+    """C(n,2) after checking both size bounds of d2."""
+    E = n * (n - 1) // 2
+    if E > MAX_BOUNDARY_EDGES:
+        raise ValueError(
+            f"boundary matrix needs C(n,2) <= {MAX_BOUNDARY_EDGES} edge rows; n = {n} has {E}"
+        )
+    if E * num_faces > MAX_BOUNDARY_CELLS:
+        raise ValueError(
+            f"boundary matrix needs C(n,2) x faces <= {MAX_BOUNDARY_CELLS} cells;"
+            f" n = {n} with {num_faces} faces has {E * num_faces}"
+        )
+    return E
 
 
 @dataclass(frozen=True)
@@ -60,16 +79,7 @@ class BoundaryMatrices:
 def boundary_matrices(X) -> BoundaryMatrices:
     n = X.n
     triangles = tuple(X.triangles)
-    E = n * (n - 1) // 2
-    if E > MAX_BOUNDARY_EDGES:
-        raise ValueError(
-            f"boundary matrix needs C(n,2) <= {MAX_BOUNDARY_EDGES} edge rows; n = {n} has {E}"
-        )
-    if E * len(triangles) > MAX_BOUNDARY_CELLS:
-        raise ValueError(
-            f"boundary matrix needs C(n,2) x faces <= {MAX_BOUNDARY_CELLS} cells;"
-            f" n = {n} with {len(triangles)} faces has {E * len(triangles)}"
-        )
+    E = _check_boundary_size(n, len(triangles))
     edges = edge_list(n)
     d2 = np.zeros((E, len(triangles)), dtype=np.int64)
     for j, (u, v, w) in enumerate(triangles):
@@ -80,60 +90,90 @@ def boundary_matrices(X) -> BoundaryMatrices:
 
 
 # ---------------------------------------------------------------------------
+# sparse rows: {column: nonzero int}
+
+def _face_rows(X) -> list[dict[int, int]]:
+    """The rows of d2^T, one per face, straight from the face list: face
+    (u < v < w) has +1 at edge uv, -1 at uw and +1 at vw, whose lexicographic
+    edge indices increase in that order. Rank and Smith normal form are
+    transpose invariant, so the complex paths never build the dense d2."""
+    n = X.n
+    _check_boundary_size(n, len(X.triangles))
+    rows = []
+    for u, v, w in X.triangles:
+        # edge (a < b) has index (a - 1)(2n - a)/2 + b - a - 1
+        su = (u - 1) * (2 * n - u) // 2 - u - 1
+        rows.append({su + v: 1, su + w: -1, (v - 1) * (2 * n - v) // 2 + w - v - 1: 1})
+    return rows
+
+
+def _matrix_rows(M) -> list[dict[int, int]]:
+    """The rows of an integer matrix, nonzeros only, as Python ints."""
+    A = np.asarray(M)
+    if A.ndim != 2:
+        raise ValueError("need a matrix")
+    rows: list[dict[int, int]] = [{} for _ in range(A.shape[0])]
+    ri, ci = np.nonzero(A)
+    for i, j, v in zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist()):
+        v = int(v)
+        if v:
+            rows[i][j] = v
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # ranks
 
-def _rank_gf2(A: np.ndarray) -> int:
-    """Row echelon over GF(2) with rows packed into Python ints."""
-    pivots: dict[int, int] = {}
-    for row in A:
-        x = 0
-        for j in np.nonzero(row & 1)[0]:
-            x |= 1 << int(j)
+def _rank_rows(rows, p: int) -> int:
+    """Exact rank over F_p of sparse integer rows (not modified).
+
+    Each row is reduced against the pivot rows found so far, always at its
+    largest column, until it is zero or its largest column is new and it
+    becomes that column's pivot. For p = 2 a row is a Python int bit mask and
+    reduction is XOR; for odd p it is a dict of residues and pivot rows are
+    scaled to a leading 1.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2:
+        masks: dict[int, int] = {}
+        for row in rows:
+            x = 0
+            for j, v in row.items():
+                if v & 1:
+                    x |= 1 << j
+            while x:
+                j = x.bit_length() - 1
+                y = masks.get(j)
+                if y is None:
+                    masks[j] = x
+                    break
+                x ^= y
+        return len(masks)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        x = {j: r for j, v in row.items() if (r := v % p)}
         while x:
-            j = x.bit_length() - 1
-            if j in pivots:
-                x ^= pivots[j]
-            else:
-                pivots[j] = x
+            j = max(x)
+            piv = pivots.get(j)
+            if piv is None:
+                inv = pow(x[j], -1, p)
+                pivots[j] = {k: v * inv % p for k, v in x.items()}
                 break
+            f = x.pop(j)
+            for k, v in piv.items():
+                if k != j:
+                    r = (x.get(k, 0) - f * v) % p
+                    if r:
+                        x[k] = r
+                    else:
+                        del x[k]
     return len(pivots)
 
 
 def rank_mod_p(M, p: int) -> int:
     """Exact rank of an integer matrix over F_p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    A = np.asarray(M, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("need a matrix")
-    if A.size == 0:
-        return 0
-    A = np.mod(A, p)
-    if p == 2:
-        return _rank_gf2(A)
-    # int64 is safe: entries < p <= 2^31, products < 2^62
-    if p >= 1 << 31:
-        raise ValueError("p too large for the int64 elimination path")
-    m, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        rows = np.nonzero(A[r:, c])[0]
-        if rows.size == 0:
-            continue
-        piv = r + int(rows[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        below = A[r + 1 :, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            block = A[r + 1 :, c:]
-            block[nz] = (block[nz] - np.outer(below[nz], A[r, c:])) % p
-        r += 1
-        if r == m:
-            break
-    return r
+    return _rank_rows(_matrix_rows(M), p)
 
 
 def rank_rational(M) -> int:
@@ -191,25 +231,22 @@ def bareiss_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _eliminate(M: np.ndarray) -> tuple[int, list[list[int]]]:
+def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
     """Sparse exact elimination of unit pivots: (units, core).
 
+    ``rows`` holds the nonzeros of each matrix row and is consumed.
     Repeatedly takes a +-1 pivot (among live columns holding a unit, the one
     with the fewest nonzeros; within it, the row with the fewest nonzeros)
     and clears its column by row operations. Each step is unimodular and the
     pivot row is then cleared by column operations that touch nothing else,
     so SNF(M) = (1,) * units + SNF(core). The core keeps only the rows and
-    columns that are still nonzero.
+    columns that are still nonzero, columns in increasing order.
     """
-    rows: list[dict[int, int]] = [{} for _ in range(M.shape[0])]
-    cols: list[set[int]] = [set() for _ in range(M.shape[1])]
-    ri, ci = np.nonzero(M)
-    for i, j, v in zip(ri.tolist(), ci.tolist(), M[ri, ci].tolist()):
-        v = int(v)
-        if v:
-            rows[i][j] = v
-            cols[j].add(i)
-    heap = [(len(rs), j) for j, rs in enumerate(cols) if rs]
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = [(len(rs), j) for j, rs in cols.items()]
     heapq.heapify(heap)
     units = 0
     while heap:
@@ -242,7 +279,7 @@ def _eliminate(M: np.ndarray) -> tuple[int, list[list[int]]]:
         for j in prow:
             if j != c and cols[j]:
                 heapq.heappush(heap, (len(cols[j]), j))
-    live = [j for j, rs in enumerate(cols) if rs]
+    live = sorted(j for j, rs in cols.items() if rs)
     core = [[row.get(j, 0) for j in live] for row in rows if row]
     return units, core
 
@@ -339,6 +376,13 @@ def _dense_smith(A: list[list[int]]) -> tuple[int, ...]:
     return tuple(divisors)
 
 
+def _smith_rows(rows: list[dict[int, int]]) -> tuple[int, ...]:
+    """Nonzero elementary divisors of the matrix with these sparse rows
+    (consumed): unit pivots sparsely, then the dense loop on the core."""
+    units, core = _eliminate(rows)
+    return (1,) * units + _dense_smith(core)
+
+
 def smith_normal_form(M) -> tuple[int, ...]:
     """Nonzero elementary divisors d_1 | d_2 | ... of an integer matrix.
 
@@ -347,11 +391,7 @@ def smith_normal_form(M) -> tuple[int, ...]:
     throughout; the divisor count equals the rank and their product is the
     lattice index (|det| for nonsingular square input).
     """
-    Mat = np.asarray(M)
-    if Mat.ndim != 2:
-        raise ValueError("need a matrix")
-    units, core = _eliminate(Mat)
-    return (1,) * units + _dense_smith(core)
+    return _smith_rows(_matrix_rows(M))
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +402,13 @@ def cycle_space_dim(n: int) -> int:
 
 
 def dim_z1_mod_p(X, p: int) -> int:
-    bm = boundary_matrices(X)
-    E = len(bm.edges)
-    return E - rank_mod_p(bm.d2, p)
+    return X.n * (X.n - 1) // 2 - _rank_rows(_face_rows(X), p)
 
 
 def dim_h1_mod_p(X, p: int) -> int:
     """dim H_1(X, F_p) = (C(n,2) - (n-1)) - rank_p(d2); the 1-skeleton is
     complete, so ker d1 has dimension C(n,2) - (n-1) over every field."""
-    bm = boundary_matrices(X)
-    return cycle_space_dim(X.n) - rank_mod_p(bm.d2, p)
+    return cycle_space_dim(X.n) - _rank_rows(_face_rows(X), p)
 
 
 def count_cocycles(X, group) -> int:
@@ -381,17 +418,16 @@ def count_cocycles(X, group) -> int:
     Prime moduli shortcut through a single F_p rank; composite moduli use the
     elementary divisors.
     """
-    bm = boundary_matrices(X)
-    E = len(bm.edges)
+    rows = _face_rows(X)
+    E = X.n * (X.n - 1) // 2
     total = 1
     divisors = None
     for m in group.moduli:
         if is_prime(m):
-            r = rank_mod_p(bm.d2, m)
-            total *= m ** (E - r)
+            total *= m ** (E - _rank_rows(rows, m))
         else:
             if divisors is None:
-                divisors = smith_normal_form(bm.d2)
+                divisors = _smith_rows(_face_rows(X))
             cnt = m ** (E - len(divisors))
             for d in divisors:
                 cnt *= math.gcd(m, d)
@@ -410,13 +446,13 @@ def _integral_summary(n: int, divisors) -> tuple[int, int]:
 
 
 def torsion_order(X) -> int:
-    return _integral_summary(X.n, smith_normal_form(boundary_matrices(X).d2))[0]
+    return _integral_summary(X.n, _smith_rows(_face_rows(X)))[0]
 
 
 def min_generators_h1(X) -> int:
     """Minimum generator count of H_1(X, Z): free rank plus the largest
     p-multiplicity among the torsion divisors; equals sup_p dim H_1(F_p)."""
-    return _integral_summary(X.n, smith_normal_form(boundary_matrices(X).d2))[1]
+    return _integral_summary(X.n, _smith_rows(_face_rows(X)))[1]
 
 
 def torsion_bound_ok(X) -> bool:
@@ -456,25 +492,26 @@ class HomologyReport:
 
 def homology_report(X, p: int | None = None, include_snf: bool = True) -> HomologyReport:
     """Field dimensions (over F_p if p given, else over Q) plus, when
-    include_snf, integral data: divisors, torsion, minimum generators."""
-    bm = boundary_matrices(X)
-    E = len(bm.edges)
-    divisors = smith_normal_form(bm.d2) if include_snf else None
+    include_snf, integral data: divisors, torsion, minimum generators.
+
+    Without p or the SNF, the rank over Q is units + rank_Q(core) of the
+    unit-pivot elimination, which is exact because every step is unimodular.
+    """
+    divisors = _smith_rows(_face_rows(X)) if include_snf else None
     if p is not None:
-        rank = rank_mod_p(bm.d2, p)
+        rank = _rank_rows(_face_rows(X), p)
     elif divisors is not None:
         rank = len(divisors)
     else:
-        rank = rank_rational(bm.d2)
-    dim_z1 = E - rank
-    dim_h1 = cycle_space_dim(X.n) - rank
+        units, core = _eliminate(_face_rows(X))
+        rank = units + rank_rational(core)
     tor, mg = (None, None) if divisors is None else _integral_summary(X.n, divisors)
     return HomologyReport(
         n=X.n,
-        num_faces=len(bm.triangles),
+        num_faces=len(X.triangles),
         p=p,
-        dim_z1=dim_z1,
-        dim_h1=dim_h1,
+        dim_z1=X.n * (X.n - 1) // 2 - rank,
+        dim_h1=cycle_space_dim(X.n) - rank,
         elementary_divisors=divisors,
         torsion_order=tor,
         min_generators=mg,

@@ -32,6 +32,14 @@ def _num_from_json(v, exact: bool):
         raise ValueError(f"number {v!r} is not a finite fraction") from None
 
 
+def _int_from_json(v, field: str) -> int:
+    """A JSON integer; a float such as 5.5 or 5.0, a bool or a string is
+    rejected, not truncated or coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{field} must be an integer, got {v!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # cochains
 
@@ -48,7 +56,7 @@ def cochain_to_json_dict(f: Cochain) -> dict:
 
 def cochain_from_json_dict(data: dict) -> Cochain:
     try:
-        n = int(data["n"])
+        n = _int_from_json(data["n"], "n")
         group = group_from_json(data["group"])
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
@@ -56,7 +64,7 @@ def cochain_from_json_dict(data: dict) -> Cochain:
     want = edge_list(n)
     labels = {}
     for item in edges:
-        u, v = int(item["u"]), int(item["v"])
+        u, v = _int_from_json(item["u"], "u"), _int_from_json(item["v"], "v")
         if not (1 <= u < v <= n):
             raise ValueError(f"edge ({u}, {v}) violates 1 <= u < v <= n")
         if (u, v) in labels:
@@ -113,7 +121,7 @@ def complex_to_json_dict(X: TwoComplex) -> dict:
 
 def complex_from_json_dict(data: dict) -> TwoComplex:
     try:
-        return TwoComplex(int(data["n"]), data["triangles"])
+        return TwoComplex(_int_from_json(data["n"], "n"), data["triangles"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"complex JSON needs n and triangles: {exc}") from exc
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,30 @@ def test_homology_rejects_oversized_n(tmp_path, capsys):
     path.write_text(json.dumps({"n": 100000, "triangles": []}))
     assert run(["homology", "--in", str(path)]) == 2
     assert "C(n,2) <= 524288 edge rows; n = 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [5.5, 5.0, True, "5"])
+def test_homology_rejects_non_integer_n(tmp_path, capsys, n):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": n, "triangles": [[1, 2, 3]]}))
+    assert run(["homology", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: n must be an integer, got {n!r}" in err
+    assert "Traceback" not in err
+
+
+def test_long_n_range_exits_two_before_it_is_built(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["ez1-trend", "--model", "lm", "--n", "6:100000000:1"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert "integer list '6:100000000:1' has more than 1022 values" in err
+    assert "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        run(["betti-trend", "--n", "3:1025", "--samples", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

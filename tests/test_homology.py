@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cochainlab.cochains import edge_list
 from cochainlab.complexes import (
     TwoComplex,
+    all_triangles,
     full_two_skeleton,
     sample_hypertree,
     sample_one_out,
@@ -17,6 +18,10 @@ from cochainlab.groups import Group
 from cochainlab.homology import (
     _dense_smith,
     _eliminate,
+    _face_rows,
+    _matrix_rows,
+    _rank_rows,
+    _smith_rows,
     bareiss_det,
     boundary_matrices,
     count_cocycles,
@@ -58,11 +63,26 @@ def test_boundary_shapes():
 
 
 def test_boundary_size_checked_before_allocation():
-    with pytest.raises(ValueError, match=r"C\(n,2\) <= 524288 edge rows"):
-        boundary_matrices(TwoComplex(1025, []))
+    # the dense boundary and every face-row entry point share both bounds
     faces = [(1, 2, w) for w in range(3, 70)]
-    with pytest.raises(ValueError, match=r"C\(n,2\) x faces <= 33554432 cells"):
-        boundary_matrices(TwoComplex(1024, faces))
+    for build in (
+        boundary_matrices,
+        _face_rows,
+        homology_report,
+        torsion_order,
+        lambda X: dim_h1_mod_p(X, 3),
+        lambda X: count_cocycles(X, Group((2,))),
+    ):
+        with pytest.raises(ValueError, match=r"C\(n,2\) <= 524288 edge rows"):
+            build(TwoComplex(1025, []))
+        with pytest.raises(ValueError, match=r"C\(n,2\) x faces <= 33554432 cells"):
+            build(TwoComplex(1024, faces))
+
+
+def test_face_rows_are_d2_transposed():
+    X = sample_one_out(9, np.random.default_rng(8))
+    d2 = boundary_matrices(X).d2
+    assert _face_rows(X) == _matrix_rows(d2.T)
 
 
 def _rank_oracle_mod_p(M, p):
@@ -94,6 +114,19 @@ def test_rank_mod_p_small_random():
         p = [2, 3, 5, 7][trial % 4]
         M = rng.integers(-10, 10, size=(rng.integers(1, 7), rng.integers(1, 7)))
         assert rank_mod_p(M, p) == _rank_oracle_mod_p(M, p)
+
+
+def test_rank_mod_p_large_prime_and_big_entries():
+    # no int64 in the elimination: a prime past 2^32 and entries past 2^64
+    p = 4294967311
+    M = np.array([[2**70, 1, 0], [p, 2, 2**66 + 1], [3, p + 4, 5]], dtype=object)
+    assert rank_mod_p(M, p) == _rank_oracle_mod_p(M, p)
+    assert rank_mod_p(np.array([[p, 2 * p], [3 * p, 0]], dtype=object), p) == 0
+
+
+def test_rank_mod_p_rejects_composite_modulus():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        rank_mod_p(np.eye(2, dtype=np.int64), 4)
 
 
 def test_rank_rational_vs_numpy():
@@ -260,10 +293,10 @@ def test_snf_unit_elimination_matches_dense():
     cores = 0
     for M in cases:
         assert smith_normal_form(M) == _dense_divisors(M)
-        cores += bool(_eliminate(np.asarray(M))[1])
+        cores += bool(_eliminate(_matrix_rows(M))[1])
     assert cores >= 1
     # the projective plane's core is where its torsion lives
-    units, core = _eliminate(boundary_matrices(PROJECTIVE_PLANE_6).d2)
+    units, core = _eliminate(_matrix_rows(boundary_matrices(PROJECTIVE_PLANE_6).d2))
     assert units == 9 and _dense_smith(core) == (2,)
 
 
@@ -311,3 +344,72 @@ def test_snf_property_permutation_and_sign_invariant(data):
     cs = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k)))
     M2 = M[list(P)][:, list(Q)] * rs.reshape(m, 1) * cs.reshape(1, k)
     assert smith_normal_form(M2) == smith_normal_form(M)
+
+
+@st.composite
+def _complexes(draw):
+    n = draw(st.integers(3, 9))
+    tris = all_triangles(n)
+    k = draw(st.integers(0, len(tris)))
+    return TwoComplex(n, draw(st.permutations(tris))[:k])
+
+
+@settings(derandomize=True, deadline=None)
+@given(_complexes())
+def test_face_rows_match_dense_boundary(X):
+    d2 = boundary_matrices(X).d2
+    E = d2.shape[0]
+    for p in (2, 3, 5, 7):
+        rank = _rank_oracle_mod_p(d2, p)
+        assert _rank_rows(_face_rows(X), p) == rank
+        assert dim_z1_mod_p(X, p) == E - rank
+        assert dim_h1_mod_p(X, p) == cycle_space_dim(X.n) - rank
+    divisors = _dense_divisors(d2)
+    assert _smith_rows(_face_rows(X)) == divisors
+    assert homology_report(X).elementary_divisors == divisors
+    assert torsion_order(X) == math.prod(divisors)
+
+
+# dim H_1 over F_2 of the exact-scan one-out replicates (seed 3, reps 0-23),
+# one digit per replicate; over F_3 they agree except at n = 18, rep 6, whose
+# H_1 carries Z/2 torsion.
+_ONE_OUT_H1_F2 = {
+    14: "010011021300011121112010",
+    18: "202120310200210121000121",
+    20: "100110021010001010001201",
+}
+
+
+def test_face_rows_on_exact_scan_one_out_seeds():
+    cfg = ExperimentConfig(3)
+    for n, digits in _ONE_OUT_H1_F2.items():
+        for rep, h1_f2 in enumerate(digits):
+            X = sample_one_out(n, cfg.replica_rng("betti", n, rep))
+            d2 = boundary_matrices(X).d2
+            divisors = _dense_divisors(d2)
+            torsion = [2] if (n, rep) == (18, 6) else []
+            assert [d for d in divisors if d > 1] == torsion
+            assert homology_report(X).elementary_divisors == divisors
+            assert dim_h1_mod_p(X, 2) == int(h1_f2)
+            assert dim_h1_mod_p(X, 3) == int(h1_f2) - len(torsion)
+            assert min_generators_h1(X) == int(h1_f2)
+            for p in (2, 3):
+                # the rank over F_p counts the divisors prime to p
+                rank = sum(d % p != 0 for d in divisors)
+                assert rank_mod_p(d2, p) == rank
+                assert dim_z1_mod_p(X, p) == d2.shape[0] - rank
+
+
+def test_no_snf_rank_over_q_matches_rational_and_snf():
+    cfg = ExperimentConfig(3)
+    cases = [PROJECTIVE_PLANE_6]
+    cases += [sample_hypertree(n, np.random.default_rng([n, 1])) for n in (5, 6, 7, 8)]
+    cases += [sample_one_out(n, cfg.replica_rng("betti", n, 0)) for n in (4, 6, 9, 12, 14)]
+    for X in cases:
+        rank = rank_rational(boundary_matrices(X).d2)
+        full = homology_report(X)
+        quick = homology_report(X, include_snf=False)
+        assert len(full.elementary_divisors) == rank
+        assert quick.dim_z1 == X.n * (X.n - 1) // 2 - rank
+        assert quick.dim_h1 == full.dim_h1 == cycle_space_dim(X.n) - rank
+        assert quick.elementary_divisors is quick.torsion_order is quick.min_generators is None

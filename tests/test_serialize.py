@@ -56,6 +56,18 @@ def test_cochain_rejects_bad_vertex_order():
         cochain_from_json_dict(d)
 
 
+@pytest.mark.parametrize("field, value", [("n", 5.0), ("n", True), ("u", 1.5), ("v", "2")])
+def test_cochain_rejects_non_integer_fields(field, value):
+    f = random_cochain(5, SymmetricDistribution.uniform(Group((2,))), np.random.default_rng(54))
+    d = cochain_to_json_dict(f)
+    if field == "n":
+        d["n"] = value
+    else:
+        d["edges"][0][field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        cochain_from_json_dict(d)
+
+
 def test_cochain_rejects_missing_keys():
     with pytest.raises(ValueError, match="needs n, group, edges"):
         cochain_from_json_dict({"n": 4})
@@ -119,6 +131,12 @@ def test_complex_roundtrip():
     X = sample_one_out(7, np.random.default_rng(60))
     back = complex_from_json_dict(complex_to_json_dict(X))
     assert back == X
+
+
+@pytest.mark.parametrize("n", [5.5, 5.0, True, False, "5", None])
+def test_complex_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        complex_from_json_dict({"n": n, "triangles": [[1, 2, 3]]})
 
 
 def test_complex_rejects_missing_keys():
