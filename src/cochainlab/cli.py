@@ -41,6 +41,7 @@ from .lab import (
     run_layer_audit,
     run_ldp_numerics,
 )
+from .lab.experiments import AUDIT_SLACK_TOL
 from .regularity import fk_decompose
 from .serialize import (
     complex_from_json_dict,
@@ -138,7 +139,7 @@ def cmd_layer_audit(args) -> int:
         doc["audit"] = {k: _fmt_audit(v, raw=True) for k, v in audit.items()}
         text = _json.dumps(doc, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
-    if audit["audited"] and audit["min_slack"] is not None and audit["min_slack"] < -1e-9:
+    if audit["audited"] and audit["min_slack"] is not None and audit["min_slack"] < -AUDIT_SLACK_TOL:
         return 1
     return 0
 

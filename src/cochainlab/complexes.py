@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +32,7 @@ class TwoComplex:
             raise ValueError("need n >= 3")
         norm = set()
         for t in triangles:
-            t = tuple(sorted(int(v) for v in t))
+            t = tuple(sorted(_vertex(v) for v in t))
             if len(set(t)) != 3:
                 raise ValueError(f"triangle {t} has repeated vertices")
             if t[0] < 1 or t[2] > n:
@@ -46,6 +47,16 @@ class TwoComplex:
 
     def triangle_set(self) -> frozenset:
         return frozenset(self.triangles)
+
+
+def _vertex(v) -> int:
+    """A vertex must be a true integer: 3.7 or True is rejected, not truncated."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise ValueError(f"triangle vertex {v!r} is not an integer")
 
 
 @lru_cache(maxsize=16)
@@ -84,10 +95,14 @@ def triangle_edge_counts(n: int, triangles) -> np.ndarray:
 # (n <= 185) before that list is built.
 MAX_LM_TRIANGLES = 1 << 20
 
+# The sampler holds a C(n-1,2) x C(n,3) float array of Cholesky columns,
+# 13 MB at n = 30.
+MAX_HYPERTREE_N = 30
 
-def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
-    """One face per edge of K_n: each edge {u, v} picks the third vertex
-    uniformly from the remaining n - 2; duplicates collapse."""
+
+# Each sampler's size checks; run_ez1_trend and run_betti_trend run them on
+# every n before the first draw.
+def check_one_out_n(n: int) -> None:
     if n < 3:
         raise ValueError("need n >= 3")
     E = n * (n - 1) // 2
@@ -95,6 +110,33 @@ def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
         raise ValueError(
             f"one-out sampler needs C(n,2) <= {MAX_BOUNDARY_EDGES} edges; n = {n} has {E}"
         )
+
+
+def check_lm_n(n: int, c: float) -> None:
+    F = math.comb(n, 3)
+    if F > MAX_LM_TRIANGLES:
+        raise ValueError(
+            f"Linial-Meshulam sampler needs C(n,3) <= {MAX_LM_TRIANGLES} triangles;"
+            f" n = {n} has {F}"
+        )
+    if not 0 <= c / n <= 1:
+        raise ValueError(f"face probability c/n = {c / n} out of [0, 1]")
+
+
+def check_hypertree_n(n: int) -> None:
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if n > MAX_HYPERTREE_N:
+        raise ValueError(
+            f"kernel build capped at n = {MAX_HYPERTREE_N}"
+            f" (the sampler's C(n-1,2) x C(n,3) Cholesky array); n = {n}"
+        )
+
+
+def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
+    """One face per edge of K_n: each edge {u, v} picks the third vertex
+    uniformly from the remaining n - 2; duplicates collapse."""
+    check_one_out_n(n)
     faces = []
     for u, v in edge_list(n):
         w = int(rng.integers(0, n - 2))
@@ -108,73 +150,60 @@ def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
 
 def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoComplex:
     """Bernoulli(c/n) faces, independently over all triangles."""
-    F = math.comb(n, 3)
-    if F > MAX_LM_TRIANGLES:
-        raise ValueError(
-            f"Linial-Meshulam sampler needs C(n,3) <= {MAX_LM_TRIANGLES} triangles;"
-            f" n = {n} has {F}"
-        )
-    p = c / n
-    if not 0 <= p <= 1:
-        raise ValueError(f"face probability c/n = {p} out of [0, 1]")
+    check_lm_n(n, c)
     tris = all_triangles(n)
-    keep = rng.random(len(tris)) < p
+    keep = rng.random(len(tris)) < c / n
     return TwoComplex(n, [t for t, k in zip(tris, keep) if k])
 
 
 # ---------------------------------------------------------------------------
 # the projection kernel and exact determinantal sampling
 
+@lru_cache(maxsize=8)
 def _reduced_boundary(n: int) -> np.ndarray:
     """Rows of d2 indexed by edges inside [n-1]; these span the full row
     space: a 1-cycle supported on the star of vertex n would live on a tree.
-    Shape (C(n-1,2), C(n,3)), int64, one column per all_triangles(n) entry."""
+    Shape (C(n-1,2), C(n,3)), int64, one column per all_triangles(n) entry;
+    cached read-only."""
     bm = boundary_matrices(full_two_skeleton(n))
     keep = [i for i, (u, v) in enumerate(edge_list(n)) if v <= n - 1]
-    return bm.d2[keep, :]
+    B = bm.d2[keep, :]
+    B.flags.writeable = False
+    return B
 
 
 class ProjectionKernel:
     """Orthogonal projection onto the row space of the full-skeleton triangle
-    boundary operator; the marginal kernel of the fixed-size determinantal
-    face measure.
+    boundary d2; the marginal kernel of the fixed-size determinantal face
+    measure.
 
-    basis: (F, r) orthonormal columns V; K = V V^T is never formed; r = C(n-1,2).
+    On the complete complex d2 d2^T + d1^T d1 = n I and d1 d2 = 0, so
+    K = d2^T d2 / n exactly. K is held as the integer d2 (C(n,2) x C(n,3))
+    and n, and never formed; rank = trace K = C(n-1,2).
     """
 
-    def __init__(self, n: int, basis: np.ndarray):
+    def __init__(self, n: int):
         self.n = n
         self.triangles = all_triangles(n)
-        self.basis = basis
-        self.rank = basis.shape[1]
+        self.rank = math.comb(n - 1, 2)
+        self.d2 = boundary_matrices(full_two_skeleton(n)).d2
+
+    def column(self, i: int) -> np.ndarray:
+        """K[:, i]: face (u, v, w) has +1 at uv, -1 at uw, +1 at vw in d2."""
+        n, d2 = self.n, self.d2
+        u, v, w = self.triangles[i]
+        return (d2[edge_index(n, u, v)] - d2[edge_index(n, u, w)] + d2[edge_index(n, v, w)]) / n
 
     def subset_probability(self, S) -> float:
-        """det(K_S) = det(V_S V_S^T); for |S| = rank, the probability of S."""
-        VS = self.basis[[triangle_index(self.n, t) for t in S]]
-        return float(np.linalg.det(VS @ VS.T))
+        """det(K_S) = det(d2_S^T d2_S / n); for |S| = rank, the probability of S."""
+        BS = self.d2[:, [triangle_index(self.n, t) for t in S]]
+        return float(np.linalg.det(BS.T @ BS / self.n))
 
 
 def build_kernel(n: int) -> ProjectionKernel:
-    """Orthonormalizes the boundary rows (SVD, rank threshold 1e-10) and
-    checks the projection contracts on V: rank C(n-1,2), trace K = |V|_F^2
-    equal to the rank, and V^T V = I (K idempotent)."""
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if n > 30:
-        raise ValueError("kernel build capped at n = 30 (SVD of a C(n-1,2) x C(n,3) boundary)")
-    B = _reduced_boundary(n).astype(float)  # (r0, F) with full row rank
-    # columns of V^T spanning the row space
-    _, s, vt = np.linalg.svd(B, full_matrices=False)
-    r = int((s > 1e-10 * s[0]).sum())
-    expected = math.comb(n - 1, 2)
-    if r != expected:
-        raise ArithmeticError(f"numerical rank {r} != C(n-1,2) = {expected}")
-    basis = vt[:r].T  # (F, r), orthonormal columns
-    if abs(np.sum(basis * basis) - expected) > 1e-8:
-        raise ArithmeticError("kernel trace drifted from the projection rank")
-    if np.abs(basis.T @ basis - np.eye(r)).max() > 1e-10:
-        raise ArithmeticError("kernel is not idempotent within 1e-10: V^T V != I")
-    return ProjectionKernel(n, basis)
+    """The projection kernel at n, for 3 <= n <= MAX_HYPERTREE_N."""
+    check_hypertree_n(n)
+    return ProjectionKernel(n)
 
 
 def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
@@ -182,14 +211,14 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
 
     Chain rule for projection kernels: the next point is drawn with
     probability d_i / remaining-rank from the conditioned diagonal d of
-    K - C C^T, where C gains the Cholesky column c = (V V_i - C C_i^T)/sqrt(d_i)
-    per chosen face; no F x F array is formed. Returns exactly rank faces;
-    drift in d is the first certificate-visible failure of the chain.
+    K - C C^T, which starts at K_ii = 3/n; C gains the Cholesky column
+    c = (K[:, i] - C C_i^T)/sqrt(d_i) per chosen face; no F x F array is
+    formed. Returns exactly rank faces; drift in d is the first
+    certificate-visible failure of the chain.
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
-    V = kern.basis
-    F = V.shape[0]
-    d = np.einsum("ij,ij->i", V, V)
+    F = len(kern.triangles)
+    d = np.full(F, 3 / kern.n)
     C = np.empty((kern.rank, F))  # row t is the t-th Cholesky column
     chosen: list[int] = []
     for t, step in enumerate(range(kern.rank, 0, -1)):
@@ -206,7 +235,7 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         chosen.append(i)
         if d[i] <= 1e-9:
             raise ArithmeticError("conditioning picked a numerically null face")
-        C[t] = (V @ V[i] - C[:t, i] @ C[:t]) / math.sqrt(d[i])
+        C[t] = (kern.column(i) - C[:t, i] @ C[:t]) / math.sqrt(d[i])
         d -= C[t] * C[t]
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
@@ -216,68 +245,18 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
 
 def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
     """P(sample is contained in Y) = det(I - K restricted to the complement
-    of Y) = det(V_Y^T V_Y) as V^T V = I; float path, see
-    avoidance_probability_exact."""
+    of Y) = det(I_E - B B^T / n), B the columns of d2 off Y, by Sylvester's
+    identity; float path, see avoidance_probability_exact."""
     yset = {tuple(sorted(t)) for t in Y}
-    VY = kernel.basis[[i for i, t in enumerate(kernel.triangles) if t in yset]]
-    return float(np.linalg.det(VY.T @ VY))
+    B = kernel.d2[:, [i for i, t in enumerate(kernel.triangles) if t not in yset]]
+    return float(np.linalg.det(np.eye(B.shape[0]) - B @ B.T / kernel.n))
 
 
-@lru_cache(maxsize=8)
 def exact_kernel(n: int):
-    """Rational projection kernel as (N, D) with K = N / D elementwise.
-
-    B the reduced boundary rows, M = B B^T, D = det(M), N = B^T adj(M) B.
-    D equals n^C(n-2,2): expanding det(M) by Cauchy-Binet gives the sum of
-    squared maximal minors, which is the squared-torsion mass of the
-    determinantal measure; asserted here rather than assumed.
-    """
-    B = _reduced_boundary(n)
-    r = B.shape[0]
-    M = (B @ B.T).astype(object)
-    D = bareiss_det(M)
-    if D != n ** math.comb(n - 2, 2):
-        raise AssertionError("det(B B^T) mismatch against the measure normalization")
-    # adjugate via Fraction inverse scaled by the determinant
-    A = [[Fraction(int(M[i, j])) for j in range(r)] for i in range(r)]
-    inv = _fraction_inverse(A)
-    adj = np.empty((r, r), dtype=object)
-    for i in range(r):
-        for j in range(r):
-            entry = inv[i][j] * D
-            if entry.denominator != 1:
-                raise AssertionError("adjugate must be integral")
-            adj[i, j] = int(entry)
-    Bo = B.astype(object)
-    N = Bo.T @ adj @ Bo
-    return N, int(D)
-
-
-def _fraction_inverse(A):
-    """Gauss-Jordan inverse of a square Fraction matrix (list of lists)."""
-    r = len(A)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(A)]
-    for c in range(r):
-        piv = next((i for i in range(c, r) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for i in range(r):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [row[r:] for row in aug]
-
-
-@lru_cache(maxsize=8)
-def _avoidance_boundary(n: int) -> np.ndarray:
-    """_reduced_boundary(n), cached read-only for the exact avoidance path
-    only: build_kernel needs it once per n, and holding it there costs RSS."""
-    B = _reduced_boundary(n)
-    B.flags.writeable = False
-    return B
+    """The projection kernel in exact integers as (G, n), K = G / n
+    elementwise, with G = d2^T d2 of the full skeleton."""
+    d2 = boundary_matrices(full_two_skeleton(n)).d2
+    return d2.T @ d2, n
 
 
 def avoidance_probability_exact(n: int, Y) -> Fraction:
@@ -288,7 +267,7 @@ def avoidance_probability_exact(n: int, Y) -> Fraction:
     full-skeleton sum is n^C(n-2,2). One r x r Bareiss determinant on small
     integers, r = C(n-1,2); no floats anywhere.
     """
-    B = _avoidance_boundary(n)
+    B = _reduced_boundary(n)
     index = _triangle_index_map(n)
     cols = sorted({index[tuple(sorted(t))] for t in Y})
     BY = B[:, cols]

@@ -107,9 +107,6 @@ class StepKernel:
             return all(s == 1 for s in sums.flat)
         return bool(np.abs(sums - 1.0).max() <= tol)
 
-    def min_value(self):
-        return min(self.values.flat)
-
     def boundaries(self):
         """Part boundaries 0 < b_1 < ... < b_k = 1 (cumulative measures)."""
         if self.exact:
@@ -327,16 +324,21 @@ def max_box_exact(A: np.ndarray, return_witness: bool = False):
     return abs(value), S, T, value
 
 
-def max_box_heuristic(A: np.ndarray, rng: np.random.Generator, restarts: int = 24):
+# Random starts of the alternating heuristic per slice (the first start is
+# all rows).
+HEURISTIC_RESTARTS = 24
+
+
+def max_box_heuristic(A: np.ndarray, rng: np.random.Generator):
     """Certified lower bound for max_box via alternating sign optimization.
 
-    Each restart seeds row signs, then alternately picks the optimal T for
-    fixed S and vice versa until fixed point. The returned value is exact
+    Each of HEURISTIC_RESTARTS restarts seeds row signs, then alternately
+    picks the optimal T for fixed S and vice versa until fixed point. The returned value is exact
     for the witness found, hence a true lower bound.
     """
     k, m = A.shape
     best, bestS, bestT, bestval = 0.0, [], [], 0.0
-    for r in range(restarts):
+    for r in range(HEURISTIC_RESTARTS):
         s = rng.integers(0, 2, size=k).astype(float) if r else np.ones(k)
         for _ in range(60):
             colsum = s @ A
@@ -378,13 +380,13 @@ def cut_norm(W: StepKernel) -> float:
     return float(sum(max_box_exact(slabs[:, :, g]) for g in range(W.group.order)))
 
 
-def cut_norm_lower(W: StepKernel, rng: np.random.Generator | None = None, restarts: int = 24) -> float:
+def cut_norm_lower(W: StepKernel, rng: np.random.Generator | None = None) -> float:
     """Certified lower bound on the cut norm (alternating heuristic)."""
     if rng is None:
         rng = np.random.default_rng(0)
     slabs = _weighted_slices(W)
     return float(
-        sum(max_box_heuristic(slabs[:, :, g], rng, restarts)[0] for g in range(W.group.order))
+        sum(max_box_heuristic(slabs[:, :, g], rng)[0] for g in range(W.group.order))
     )
 
 
@@ -477,7 +479,6 @@ def convolve(V: StepKernel, W: StepKernel | None = None, tol: float = 1e-9) -> S
     weighted = Vr.values * mu[None, :, None]
     order = grp.order
     out = np.empty_like(Vr.values)
-    tab = grp.add_table
     for g in range(order):
         # sum over h of V^h @ W^{g-h}; g-h read from the group table
         acc = weighted[:, :, 0] @ Wr.values[:, :, _sub_index(grp, g, 0)]

@@ -148,14 +148,6 @@ class SymmetricDistribution:
             return cls(group, [Fraction(1, group.order)] * group.order)
         return cls(group, [1.0 / group.order] * group.order)
 
-    def prob(self, g) -> float | Fraction:
-        return self.probs[self.group.index(g)]
-
-    def as_array(self) -> np.ndarray:
-        if self.exact:
-            return np.array(self.probs, dtype=object)
-        return np.array(self.probs, dtype=float)
-
     def as_float_array(self) -> np.ndarray:
         return np.array([float(p) for p in self.probs], dtype=float)
 
@@ -163,10 +155,6 @@ class SymmetricDistribution:
         """Inversion sampling; deterministic given the generator state."""
         u = rng.random(size)
         return np.searchsorted(self._cum, u, side="right").astype(np.intp)
-
-    def sample(self, rng: np.random.Generator):
-        idx = int(self.sample_indices(rng, 1)[0])
-        return self.group.element(idx)
 
     def to_json_dict(self) -> dict:
         return {

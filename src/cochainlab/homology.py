@@ -23,18 +23,36 @@ import numpy as np
 from .cochains import edge_index, edge_list
 
 
+# Miller-Rabin with the prime bases up to 37 decides primality exactly below
+# 2^64 (Jaeschke 1993; Sorenson and Webster 2017). A witness proves p
+# composite at any size, so only a p >= 2^64 that none of them exposes is
+# left undecided.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic primality of p; raises ValueError for a p >= 2^64 that
+    no base proves composite."""
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
+    if p >= 1 << 64:
+        raise ValueError(f"primality is decided only below 2^64; {p} is not proven composite")
     return True
 
 

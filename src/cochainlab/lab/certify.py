@@ -136,7 +136,7 @@ def _check_kernel(checks: list, trees5) -> None:
     )
 
     corrupted = build_kernel(5)
-    corrupted.basis[0, 1] += 0.05
+    corrupted.d2[0, 0] = -corrupted.d2[0, 0]
     err2 = worst_error(corrupted)
     checks.append(
         CertCheck(

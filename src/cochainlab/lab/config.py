@@ -19,7 +19,6 @@ class ExperimentConfig:
     layers: int = 10
     c: float = 2.0
     include_mg: bool = True
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.seed is None:

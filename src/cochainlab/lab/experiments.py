@@ -16,6 +16,9 @@ from ..cochains import cocycle_triangles, embed_graphon, random_cochain
 from ..complexes import (
     TwoComplex,
     build_kernel,
+    check_hypertree_n,
+    check_lm_n,
+    check_one_out_n,
     log_avoidance_probability_exact,
     sample_hypertree,
     sample_linial_meshulam,
@@ -45,6 +48,11 @@ NORMAL_MEDIAN_SE = 1.2533141373155003  # sqrt(pi/2), large-sample median factor
 # at n = 16 on a 2-core x86 host
 AUDIT_MAX_N = 16
 
+# the containment bound minus the exact log-probability is >= 0; the bound is
+# computed in floats, so the audit fails only when the slack is below
+# -AUDIT_SLACK_TOL
+AUDIT_SLACK_TOL = 1e-9
+
 
 def _log_fraction(x: Fraction) -> float:
     if x < 0:
@@ -52,6 +60,18 @@ def _log_fraction(x: Fraction) -> float:
     if x == 0:
         return float("-inf")
     return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _check_sizes(cfg: ExperimentConfig) -> None:
+    """Every n against the model sampler's size bounds, before anything is
+    drawn: a bad last n fails the run at once, not after the rest."""
+    for n in cfg.n_values:
+        if cfg.model == "one-out":
+            check_one_out_n(n)
+        elif cfg.model == "lm":
+            check_lm_n(n, cfg.c)
+        else:
+            check_hypertree_n(n)
 
 
 def _sampler_factory(cfg: ExperimentConfig, n: int):
@@ -93,6 +113,7 @@ def run_ez1_trend(cfg: ExperimentConfig) -> Table:
         ]
     )
     group = cfg.group
+    _check_sizes(cfg)
     for n in cfg.n_values:
         sampler = _sampler_factory(cfg, n)
         counts: list[int] = []
@@ -149,6 +170,7 @@ def run_betti_trend(cfg: ExperimentConfig) -> Table:
     if cfg.include_mg:
         cols += ["mg_median_norm", "mg_max"]
     table = Table(cols)
+    _check_sizes(cfg)
     for n in cfg.n_values:
         sampler = _sampler_factory(cfg, n)
         dims: dict[int, list[int]] = {p: [] for p in cfg.primes}

@@ -130,12 +130,12 @@ def matrix_cut_norm(M: np.ndarray) -> float:
     return float(max_box_exact(M / (n * n)))
 
 
-def matrix_cut_norm_lower(M: np.ndarray, rng: np.random.Generator | None = None, restarts: int = 24) -> float:
+def matrix_cut_norm_lower(M: np.ndarray, rng: np.random.Generator | None = None) -> float:
     if rng is None:
         rng = np.random.default_rng(0)
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    return float(max_box_heuristic(M / (n * n), rng, restarts)[0])
+    return float(max_box_heuristic(M / (n * n), rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def _slice_box(D: np.ndarray, mu: np.ndarray, exact: bool, rng):
     A = D * np.outer(mu, mu)
     if exact:
         return max_box_exact(A, return_witness=True)
-    return max_box_heuristic(A, rng, restarts=24)
+    return max_box_heuristic(A, rng)
 
 
 def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKResult:
@@ -266,7 +266,7 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
         if exact_oracle:
             residual += max_box_exact(D)
         else:
-            residual += max_box_heuristic(D, rng, restarts=24)[0]
+            residual += max_box_heuristic(D, rng)[0]
     return FKResult(
         partition=P,
         rounds=rounds,

@@ -292,3 +292,66 @@ def test_graphon_exact_rejects_nan(kernel_file, tmp_path, capsys):
 def test_sample_hypertree_caps_n(capsys):
     assert run(["sample", "--model", "hypertree", "--n", "31"]) == 2
     assert "capped at n = 30" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ez1-trend", "betti-trend"])
+@pytest.mark.parametrize(
+    "model, ns, bound",
+    [
+        ("hypertree", "29,31", "Cholesky array); n = 31"),
+        ("one-out", "6,1025", "one-out sampler needs C(n,2) <= 524288 edges; n = 1025"),
+        ("lm", "6,186", "Linial-Meshulam sampler needs C(n,3) <= 1048576 triangles; n = 186"),
+    ],
+)
+def test_trend_checks_every_n_before_sampling(command, model, ns, bound, monkeypatch, capsys):
+    import cochainlab.lab.experiments as experiments
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the size check")
+
+    for name in ("build_kernel", "sample_hypertree", "sample_one_out", "sample_linial_meshulam"):
+        monkeypatch.setattr(experiments, name, no_sampling)
+    assert run([command, "--model", model, "--n", ns, "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert bound in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("vertex", [3.7, 3.0, True, "3", None])
+def test_homology_rejects_non_integer_vertex(tmp_path, capsys, vertex):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 5, "triangles": [[1, 2, vertex]]}))
+    assert run(["homology", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: triangle vertex {vertex!r} is not an integer" in err
+    assert "Traceback" not in err
+
+
+def test_homology_large_prime_answers_promptly(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 5, "triangles": [[1, 2, 3], [1, 2, 4]]}))
+    start = time.perf_counter()
+    assert run(["homology", "--in", str(path), "--p", str(2**61 - 1), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["p"] == 2**61 - 1
+    assert report["dim_h1"] == 6 - 2
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ((2**31 - 1) * (2**61 - 1), f"{(2**31 - 1) * (2**61 - 1)} is not prime"),
+        (2**89 - 1, "primality is decided only below 2^64"),
+    ],
+)
+def test_homology_rejects_modulus_it_cannot_use(tmp_path, capsys, p, message):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"n": 4, "triangles": [[1, 2, 3]]}))
+    start = time.perf_counter()
+    assert run(["homology", "--in", str(path), "--p", str(p)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -7,8 +7,8 @@ import pytest
 
 from cochainlab.cochains import Cochain, cocycle_triangles, edge_list, random_cochain
 from cochainlab.complexes import (
-    ProjectionKernel,
     TwoComplex,
+    _reduced_boundary,
     all_triangles,
     avoidance_probability,
     avoidance_probability_exact,
@@ -109,7 +109,7 @@ def test_linial_meshulam_extremes():
 def test_kernel_invariants():
     for n in (4, 5, 6):
         kern = build_kernel(n)
-        K = kern.basis @ kern.basis.T
+        K = kern.d2.T @ kern.d2 / kern.n
         F = math.comb(n, 3)
         assert K.shape == (F, F)
         assert np.allclose(K, K.T, atol=1e-12)
@@ -121,8 +121,44 @@ def test_kernel_invariants():
 def test_kernel_diagonal_n4():
     # at n = 4 every triangle has inclusion probability rank/faces = 3/4
     kern = build_kernel(4)
-    K = kern.basis @ kern.basis.T
+    K = kern.d2.T @ kern.d2 / kern.n
     assert np.allclose(np.diag(K), 0.75, atol=1e-12)
+
+
+def _d1(n):
+    """Vertex-by-edge incidence: edge (u, v) gets -1 at u, +1 at v."""
+    d1 = np.zeros((n, n * (n - 1) // 2), dtype=np.int64)
+    for i, (u, v) in enumerate(edge_list(n)):
+        d1[u - 1, i] = -1
+        d1[v - 1, i] = 1
+    return d1
+
+
+def test_closed_form_kernel_identities():
+    # K = G / n with G = d2^T d2 is the orthogonal projection of rank
+    # C(n-1,2): G symmetric, G G = n G and trace G = n C(n-1,2), all in exact
+    # integers, from d2 d2^T + d1^T d1 = n I on the complete complex
+    for n in range(3, 13):
+        d2 = boundary_matrices(full_two_skeleton(n)).d2
+        d1 = _d1(n)
+        G, m = exact_kernel(n)
+        assert m == n
+        assert (G == d2.T @ d2).all()
+        assert (G == G.T).all()
+        assert (G @ G == n * G).all()
+        assert np.trace(G) == n * math.comb(n - 1, 2)
+        assert (d1 @ d2 == 0).all()
+        assert (d2 @ d2.T + d1.T @ d1 == n * np.eye(len(edge_list(n)), dtype=np.int64)).all()
+
+
+def test_kernel_column_is_closed_form():
+    for n in (3, 4, 7, 10):
+        kern = build_kernel(n)
+        G, _ = exact_kernel(n)
+        assert kern.rank == math.comb(n - 1, 2)
+        assert kern.triangles == all_triangles(n)
+        for i in range(len(kern.triangles)):
+            assert np.array_equal(kern.column(i), G[:, i] / n), (n, i)
 
 
 def test_subset_probability_matches_exact_kernel():
@@ -152,23 +188,69 @@ def _det_fraction(rows):
     return total
 
 
+def _fraction_inverse(A):
+    """Gauss-Jordan inverse of a square Fraction matrix (list of lists)."""
+    r = len(A)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(r)] for i, row in enumerate(A)]
+    for c in range(r):
+        piv = next((i for i in range(c, r) if aug[i][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [v * inv for v in aug[c]]
+        for i in range(r):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[r:] for row in aug]
+
+
+def _adjugate_kernel(n):
+    """Reference rational kernel K = N / D from the reduced boundary rows B:
+    M = B B^T, D = det(M), N = B^T adj(M) B, the adjugate taken as the
+    Fraction inverse of M scaled by D."""
+    B = _reduced_boundary(n)
+    r = B.shape[0]
+    M = (B @ B.T).astype(object)
+    D = bareiss_det(M)
+    A = [[Fraction(int(M[i, j])) for j in range(r)] for i in range(r)]
+    inv = _fraction_inverse(A)
+    adj = np.empty((r, r), dtype=object)
+    for i in range(r):
+        for j in range(r):
+            entry = inv[i][j] * D
+            assert entry.denominator == 1, "adjugate must be integral"
+            adj[i, j] = int(entry)
+    Bo = B.astype(object)
+    return Bo.T @ adj @ Bo, int(D)
+
+
 def test_exact_kernel_denominator():
-    for n in (4, 5, 6):
-        N, D = exact_kernel(n)
+    # the closed form G / n equals the adjugate kernel N / D, and D is the
+    # squared-torsion mass n^C(n-2,2) of the measure
+    for n in range(4, 9):
+        N, D = _adjugate_kernel(n)
+        G, m = exact_kernel(n)
         assert D == n ** math.comb(n - 2, 2)
+        assert m == n
+        assert (N * m == G.astype(object) * D).all()
 
 
 def test_avoidance_exact_vs_float():
     rng = np.random.default_rng(14)
-    n = 5
-    kern = build_kernel(n)
-    tris = all_triangles(n)
-    for _ in range(15):
-        Y = [t for t in tris if rng.random() < 0.35]
-        p_float = avoidance_probability(kern, Y)
-        p_exact = avoidance_probability_exact(n, Y)
-        assert 0 <= p_exact <= 1
-        assert abs(p_float - float(p_exact)) < 1e-10
+    strict = 0
+    for n, q in ((5, 0.35), (6, 0.6), (7, 0.75), (8, 0.85)):
+        kern = build_kernel(n)
+        tris = all_triangles(n)
+        for _ in range(15):
+            Y = [t for t in tris if rng.random() < q]
+            p_float = avoidance_probability(kern, Y)
+            p_exact = avoidance_probability_exact(n, Y)
+            assert 0 <= p_exact <= 1
+            assert abs(p_float - float(p_exact)) < 1e-10
+            strict += 0 < p_exact < 1
+    assert strict >= 20, strict
 
 
 def test_avoidance_extreme_sets():
@@ -298,8 +380,8 @@ def test_sample_hypertree_accepts_kernel_object():
 
 def _schur_sample_hypertree(kern, rng):
     """Reference sampler: sequential Schur complements of the dense F x F
-    kernel K = V V^T, with the same draws and guards as sample_hypertree."""
-    K = kern.basis @ kern.basis.T
+    kernel K = d2^T d2 / n, with the same draws and guards as sample_hypertree."""
+    K = kern.d2.T @ kern.d2 / kern.n
     F = K.shape[0]
     chosen: list[int] = []
     for step in range(kern.rank, 0, -1):

@@ -30,3 +30,22 @@ def test_regularity_demo_certifies_its_residual():
 
 def test_kernel_calculus_demo_runs():
     assert "cut distance to uniform" in _run_demo("kernel_calculus.py")
+
+
+def test_determinantal_sampling_demo_checks_the_closed_form():
+    out = _run_demo("determinantal_sampling.py")
+    assert "trace G = 30 = n * rank, G G == n G: True" in out
+    assert "125 distinct complexes seen of 125 possible" in out
+    assert "n=14 draw: 78 faces" in out
+
+
+def test_cocycle_landscape_demo_identities_hold():
+    out = _run_demo("cocycle_landscape.py")
+    assert "log-argument multiset from edges == from kernel: True" in out
+    assert "log P(hypertree inside Y_f): exact" in out
+
+
+def test_trend_survey_demo_runs():
+    out = _run_demo("trend_survey.py")
+    assert "2-SE monotonicity violations: 0" in out
+    assert "hypertree model" in out

@@ -29,6 +29,7 @@ from cochainlab.homology import (
     dim_h1_mod_p,
     dim_z1_mod_p,
     homology_report,
+    is_prime,
     min_generators_h1,
     rank_mod_p,
     rank_rational,
@@ -127,6 +128,27 @@ def test_rank_mod_p_large_prime_and_big_entries():
 def test_rank_mod_p_rejects_composite_modulus():
     with pytest.raises(ValueError, match="4 is not prime"):
         rank_mod_p(np.eye(2, dtype=np.int64), 4)
+
+
+def _trial_division_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_is_prime_matches_trial_division_and_strong_pseudoprimes():
+    assert [p for p in range(-3, 30000) if is_prime(p)] == [
+        p for p in range(-3, 30000) if _trial_division_prime(p)
+    ]
+    # strong pseudoprimes to every prime base up to 7, 23 and 37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    for p in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+        assert is_prime(p)
+        assert not is_prime(p * 3)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+    # past 2^64 a number no base proves composite is left undecided
+    for p in (318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError, match="only below 2\\^64"):
+            is_prime(p)
 
 
 def test_rank_rational_vs_numpy():

@@ -8,6 +8,7 @@ from cochainlab.groups import Group
 from cochainlab.lab.certify import run_certification
 from cochainlab.lab.config import MODELS, ExperimentConfig
 from cochainlab.lab.experiments import (
+    AUDIT_SLACK_TOL,
     run_ez1_trend,
     run_layer_audit,
     weakly_decreasing_violations,
@@ -122,7 +123,7 @@ def test_layer_audit_frequencies_sum_to_one():
     assert all(0 <= i <= 8 for i in layers)
     assert audit["n"] == 5
     assert audit["samples"] == 40
-    assert audit["min_slack"] >= -cfg.tolerance
+    assert audit["min_slack"] >= -AUDIT_SLACK_TOL
 
 
 def test_layer_audit_is_exact_past_n8():
@@ -130,7 +131,7 @@ def test_layer_audit_is_exact_past_n8():
     _, audit = run_layer_audit(cfg)
     assert audit["audited"] == audit["samples"] == 12
     assert audit["min_finite_slack"] is not None
-    assert audit["min_slack"] >= -cfg.tolerance
+    assert audit["min_slack"] >= -AUDIT_SLACK_TOL
 
 
 def test_quick_certification_passes():
