@@ -122,13 +122,22 @@ class StepKernel:
         return f"StepKernel(group={self.group}, k={self.k}, {mode})"
 
 
+def _exact(v) -> Fraction:
+    """v as a Fraction; a NaN or infinite float mixed into exact data is
+    named, not raised as an OverflowError."""
+    try:
+        return Fraction(v)
+    except (OverflowError, ValueError):
+        raise ValueError(f"number {v!r} is not a finite fraction") from None
+
+
 def _as_vector(x) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.ndim == 1:
         return x.copy() if x.dtype == object else x.astype(float)
     x = list(x)
     if any(isinstance(v, Fraction) for v in x):
         out = np.empty(len(x), dtype=object)
-        out[:] = [Fraction(v) for v in x]
+        out[:] = [_exact(v) for v in x]
         return out
     return np.array([float(v) for v in x], dtype=float)
 
@@ -143,7 +152,7 @@ def _as_slab(x) -> np.ndarray:
         raise ValueError(f"values must be a rank-3 array, got shape {arr.shape}")
     if any(isinstance(v, Fraction) for v in arr.flat):
         out = np.empty(arr.shape, dtype=object)
-        out[...] = [[[Fraction(v) for v in row] for row in plane] for plane in x]
+        out[...] = [[[_exact(v) for v in row] for row in plane] for plane in x]
         return out
     return arr.astype(float)
 
@@ -289,7 +298,10 @@ def max_box_exact(A: np.ndarray, return_witness: bool = False):
     sums, and the best negative one is that less the total of S. Masks are
     scanned in increasing order; the first maximum wins. The value returned
     is the witness box's sum in exact rounding (math.fsum), so it depends on
-    (S, T) alone, not on the order in which the scan added.
+    (S, T) alone, not on the order in which the scan added. On an exactly
+    symmetric A the boxes (S, T) and (T, S) tie exactly, and the witness is
+    the lexicographically smaller of the two, not whichever mask rounded
+    larger.
     """
     k, m = A.shape
     if k > EXACT_CUT_LIMIT:
@@ -318,6 +330,8 @@ def max_box_exact(A: np.ndarray, return_witness: bool = False):
     S = [i for i in range(k) if (best_mask >> i) & 1]
     colsum = A[S].sum(axis=0)
     T = [j for j in range(m) if best_sign * colsum[j] > 0]
+    if k == m and np.array_equal(A, A.T):
+        S, T = min((S, T), (T, S))
     value = math.fsum(A[np.ix_(S, T)].flat)
     if not return_witness:
         return abs(value)
@@ -462,7 +476,44 @@ def cut_distance_bounds(
 # ---------------------------------------------------------------------------
 # convolution
 
-def convolve(V: StepKernel, W: StepKernel | None = None, tol: float = 1e-9) -> StepKernel:
+# Largest float asymmetry |(V * W)[i, j, g] - (V * W)[j, i, -g]| accepted as
+# rounding; beyond it the pair is taken to be non-commuting.
+CONVOLVE_SYM_TOL = 1e-9
+
+_numerator = np.frompyfunc(lambda x: x.numerator, 1, 1)
+_denominator = np.frompyfunc(lambda x: x.denominator, 1, 1)
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def _row_lcms(dens: np.ndarray) -> np.ndarray:
+    """LCM of each row dens[i] (all its entries), as Python ints."""
+    out = np.empty(dens.shape[0], dtype=object)
+    out[:] = [math.lcm(*row.flat) for row in dens]
+    return out
+
+
+def _integer_factors(Vr: StepKernel, Wr: StepKernel):
+    """Integer slabs A, B and the (k, k) denominators D of an exact pair on
+    one partition, with (V * W)[i, j, g] = (sum_h A^h @ B^{g-h})[i, j] / D[i, j].
+
+    r_i is the LCM of the denominators in row i of V (all parts and
+    elements), c_j the LCM over column j of W, and M the LCM of the part
+    measures mu; then A[i, l, h] = V[i, l, h] r_i mu_l M and
+    B[l, j, g] = W[l, j, g] c_j are Python ints, and D[i, j] = r_i M c_j.
+    Per-row and per-column LCMs keep the integers small where one global LCM
+    would multiply every unrelated denominator into every entry.
+    """
+    mu_den, v_den, w_den = (_denominator(x) for x in (Vr.measures, Vr.values, Wr.values))
+    M = math.lcm(*mu_den)
+    r = _row_lcms(v_den)
+    c = _row_lcms(w_den.transpose(1, 0, 2))
+    mu_int = _numerator(Vr.measures) * (M // mu_den)
+    A = _numerator(Vr.values) * (r[:, None, None] // v_den) * mu_int[None, :, None]
+    B = _numerator(Wr.values) * (c[None, :, None] // w_den)
+    return A, B, (r * M)[:, None] * c[None, :]
+
+
+def convolve(V: StepKernel, W: StepKernel | None = None) -> StepKernel:
     """Kernel convolution (V * W)^g = sum_h V^h o W^{g - h} with the measure
     weight on the inner coordinate.
 
@@ -470,27 +521,36 @@ def convolve(V: StepKernel, W: StepKernel | None = None, tol: float = 1e-9) -> S
     kernels symmetry requires V * W = W * V; the result is checked and a
     ValueError raised for non-commuting pairs, since the symmetric-kernel
     contract cannot hold for them.
+
+    Exact kernels are scaled to integers over row and column common
+    denominators (see _integer_factors): each (g, h) product is one
+    Python-int matmul, and each cell is divided once at the end.
     """
     if W is None:
         W = V
     Vr, Wr = refine_pair(V, W)
     grp = Vr.group
     mu = Vr.measures
-    weighted = Vr.values * mu[None, :, None]
+    if Vr.exact:
+        weighted, right, dens = _integer_factors(Vr, Wr)
+    else:
+        weighted, right = Vr.values * mu[None, :, None], Wr.values
     order = grp.order
-    out = np.empty_like(Vr.values)
+    out = np.empty_like(weighted)
     for g in range(order):
         # sum over h of V^h @ W^{g-h}; g-h read from the group table
-        acc = weighted[:, :, 0] @ Wr.values[:, :, _sub_index(grp, g, 0)]
+        acc = weighted[:, :, 0] @ right[:, :, _sub_index(grp, g, 0)]
         for h in range(1, order):
-            acc = acc + weighted[:, :, h] @ Wr.values[:, :, _sub_index(grp, g, h)]
+            acc = acc + weighted[:, :, h] @ right[:, :, _sub_index(grp, g, h)]
         out[:, :, g] = acc
+    if Vr.exact:
+        out = _fraction(out, dens[:, :, None])
     sym = mirror_canonical(grp, out)
     if Vr.exact:
         if not np.array_equal(sym, out):
             raise ValueError("convolution of non-commuting kernels is not symmetric")
     else:
-        if not np.allclose(sym, out, rtol=0, atol=tol):
+        if not np.allclose(sym, out, rtol=0, atol=CONVOLVE_SYM_TOL):
             raise ValueError("convolution of non-commuting kernels is not symmetric")
     return StepKernel(grp, mu, sym, _validate=False)
 

@@ -24,12 +24,32 @@ def _num_to_json(v):
 
 
 def _num_from_json(v, exact: bool):
+    """A JSON number or fraction string: a Fraction when ``exact`` or when v
+    is a string, else a float. Anything else (null, a bool, an array, an
+    object) is rejected, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ValueError(f"number {v!r} is not a JSON number or fraction string")
     if not (exact or isinstance(v, str)):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:  # a JSON integer past the float range
+            raise ValueError(f"a {v.bit_length()}-bit integer does not fit a float") from None
     try:
         return Fraction(v)
     except (ZeroDivisionError, OverflowError, ValueError):  # "1/0"; Infinity or NaN read exactly
         raise ValueError(f"number {v!r} is not a finite fraction") from None
+
+
+def _is_grid(raw, k: int) -> bool:
+    """True when raw is a k x k JSON array of arrays (the value cells)."""
+    return (
+        isinstance(raw, list)
+        and len(raw) == k
+        and all(
+            isinstance(row, list) and len(row) == k and all(isinstance(c, list) for c in row)
+            for row in raw
+        )
+    )
 
 
 def _int_from_json(v, field: str) -> int:
@@ -93,12 +113,15 @@ def kernel_to_json_dict(W: StepKernel) -> dict:
 def kernel_from_json_dict(data: dict, require_graphon: bool = False, exact: bool = False) -> StepKernel:
     try:
         group = group_from_json(data["group"])
-        measures = [_num_from_json(m, exact) for m in data["part_measures"]]
+        raw_measures = data["part_measures"]
         raw = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"kernel JSON needs group, part_measures, values: {exc}") from exc
+    if not isinstance(raw_measures, list):
+        raise ValueError(f"part_measures must be a JSON array, got {raw_measures!r}")
+    measures = [_num_from_json(m, exact) for m in raw_measures]
     k = len(measures)
-    if len(raw) != k or any(len(row) != k for row in raw):
+    if not _is_grid(raw, k):
         raise ValueError("values must be a k x k x |G| array matching part_measures")
     vals = [
         [[_num_from_json(x, exact) for x in cell] for cell in row]

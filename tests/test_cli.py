@@ -265,6 +265,8 @@ def _corrupt_kernel(kernel_file, tmp_path, path, value):
         ("b", ("part_measures", 0), float("nan"), "part measures must be finite"),
         ("cutnorm", ("values", 0, 0, 0), float("inf"), "values must be finite"),
         ("cutnorm", ("part_measures", 0), "1/0", "'1/0' is not a finite fraction"),
+        ("b", ("values", 0, 0, 0), None, "None is not a JSON number or fraction string"),
+        ("cutnorm", ("values", 0), [1], "values must be a k x k x |G| array"),
     ],
 )
 def test_graphon_rejects_bad_numbers(kernel_file, tmp_path, capsys, sub, path, value, message):

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, strategies as st
 
+from cochainlab.cli import main
 from cochainlab.cochains import embed_graphon, path_counts, random_cochain
 from cochainlab.graphons import (
     CutNormTooLarge,
@@ -35,6 +37,7 @@ from cochainlab.graphons import (
     z_functional,
 )
 from cochainlab.groups import Group, SymmetricDistribution
+from cochainlab.serialize import dump_json, dumps_json, kernel_to_json_dict
 
 
 def _uniform(moduli):
@@ -227,6 +230,25 @@ def test_max_box_matches_chunked_reference(k, shape):
         assert (S, T) == (ref_S, ref_T)
 
 
+def test_max_box_symmetric_tie_takes_smaller_witness():
+    """On an exactly symmetric slice (S, T) and (T, S) have the same sum;
+    the witness is the lexicographically smaller one, whichever mask the
+    scan rounded larger."""
+    swapped = 0
+    for seed in range(24):
+        rng = np.random.default_rng([seed, 9])
+        k = int(rng.integers(2, 16))
+        A = rng.random((k, k)) - 0.5
+        A = A + A.T
+        best, S, T, signed = max_box_exact(A, return_witness=True)
+        ref, ref_S, ref_T = _chunked_max_box(A)
+        assert best == pytest.approx(ref, abs=1e-12)
+        assert (S, T) == min((ref_S, ref_T), (ref_T, ref_S))
+        assert math.fsum(A[np.ix_(T, S)].flat) == signed
+        swapped += (ref_S, ref_T) > (ref_T, ref_S)
+    assert swapped  # some reference witnesses come out in the larger order
+
+
 # --------------------------------------------------------------------------
 # cut distance
 
@@ -319,6 +341,157 @@ def test_self_convolution_stays_symmetric():
         neg = W.group.neg_perm
         for gi in range(3):
             assert np.allclose(C.values[:, :, gi], C.values[:, :, neg[gi]].T, atol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# exact convolution against the Fraction oracle
+
+def _fraction_convolve(V, W=None):
+    """Oracle for exact convolve: the Fraction matmul of every (g, h) term on
+    the common refinement, unmirrored. Returns (measures, values)."""
+    if W is None:
+        W = V
+    Vr, Wr = refine_pair(V, W)
+    grp = Vr.group
+    weighted = Vr.values * Vr.measures[None, :, None]
+    out = np.empty_like(Vr.values)
+    for g in range(grp.order):
+        sub = [int(grp.add_table[g, grp.neg_perm[h]]) for h in range(grp.order)]
+        acc = weighted[:, :, 0] @ Wr.values[:, :, sub[0]]
+        for h in range(1, grp.order):
+            acc = acc + weighted[:, :, h] @ Wr.values[:, :, sub[h]]
+        out[:, :, g] = acc
+    return Vr.measures, out
+
+
+def _assert_matches_oracle(V, W=None):
+    C = convolve(V, W)
+    measures, values = _fraction_convolve(V, W)
+    assert C.exact
+    assert all(type(x) is Fraction for x in C.values.flat)
+    assert np.array_equal(C.measures, measures)
+    assert np.array_equal(C.values, values)
+    return C
+
+
+def _split_part(W, p, t):
+    """W on a finer partition: part p split into pieces of measure t and 1 - t
+    of it. The same kernel, so it commutes with W and with W * W."""
+    idx = list(range(p + 1)) + list(range(p, W.k))
+    meas = list(W.measures[: p + 1]) + list(W.measures[p:])
+    meas[p], meas[p + 1] = meas[p] * t, meas[p] * (1 - t)
+    return StepKernel(W.group, meas, W.values[np.ix_(idx, idx)])
+
+
+def _primes(lo, hi):
+    sieve = np.ones(hi, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, int(hi**0.5) + 1):
+        sieve[q * q :: q] = False
+    return [int(q) for q in np.flatnonzero(sieve) if q >= lo]
+
+
+def _prime_denominator_kernel(group, k, rng):
+    """Exact kernel whose every value has its own random prime denominator
+    near 2^15, and whose measures share one prime denominator."""
+    primes = _primes(1 << 14, 1 << 16)
+    vals = np.empty((k, k, group.order), dtype=object)
+    for idx in np.ndindex(vals.shape):
+        vals[idx] = Fraction(int(rng.integers(-(1 << 15), 1 << 15)), primes[int(rng.integers(len(primes)))])
+    q = primes[int(rng.integers(len(primes)))]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, q), size=k - 1, replace=False))
+    meas = [Fraction(b - a, q) for a, b in zip([0] + cuts, cuts + [q])]
+    return StepKernel(group, meas, mirror_canonical(group, vals))
+
+
+@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
+def test_exact_convolution_matches_oracle_on_embedded_cochains(moduli):
+    nu = _uniform(moduli)
+    for seed in range(3):
+        f = random_cochain(8, nu, np.random.default_rng([seed, len(moduli), moduli[0]]))
+        C = _assert_matches_oracle(embed_graphon(f, exact=True))
+        expected = path_counts(f)
+        assert all(C.values[idx] == Fraction(int(expected[idx]), 8) for idx in np.ndindex(expected.shape))
+
+
+@pytest.mark.parametrize("moduli", [(2,), (3,), (4,), (2, 2)])
+def test_exact_convolution_matches_oracle_with_unequal_measures(moduli):
+    rng = np.random.default_rng([31, len(moduli), moduli[0]])
+    for k in (1, 3, 6):
+        W = random_w00(Group(moduli), k, rng, exact=True)
+        if k > 1:
+            assert len(set(W.measures)) > 1
+        _assert_matches_oracle(W)
+
+
+def test_exact_convolution_of_commuting_pair_on_different_partitions():
+    g = Group((3,))
+    W = random_w00(g, 4, np.random.default_rng(32), exact=True)
+    pairs = [
+        (_split_part(W, 1, Fraction(1, 3)), W),
+        (_split_part(convolve(W), 0, Fraction(2, 5)), W),
+        (uniform_kernel(g, 3, exact=True), W),  # U * W = W * U = U on probability kernels
+    ]
+    for V, W2 in pairs:
+        Vr, _ = refine_pair(V, W2)
+        assert Vr.k > min(V.k, W2.k)  # refine_pair re-cuts at least one of them
+        C = _assert_matches_oracle(V, W2)
+        assert np.array_equal(C.values, convolve(W2, V).values)
+
+
+@pytest.mark.parametrize("moduli, k", [((2,), 3), ((2,), 6), ((3,), 5), ((2, 2), 4)])
+def test_exact_convolution_matches_oracle_on_prime_denominators(moduli, k):
+    W = _prime_denominator_kernel(Group(moduli), k, np.random.default_rng([33, k]))
+    for i in range(k):
+        row = [v.denominator for v in W.values[i].flat]
+        assert math.lcm(*row) > 1 << 64  # each row's common denominator passes 64 bits
+    _assert_matches_oracle(W)
+
+
+def test_exact_noncommuting_pair_raises():
+    g = Group((2,))
+    A = np.full((2, 2, 2), Fraction(0), dtype=object)
+    A[0, 1, 0] = A[1, 0, 0] = Fraction(1)
+    B = np.full((2, 2, 2), Fraction(0), dtype=object)
+    B[0, 0, 0] = Fraction(1)
+    V = StepKernel(g, [Fraction(1, 2)] * 2, A)
+    W = StepKernel(g, [Fraction(1, 2)] * 2, B)
+    with pytest.raises(ValueError, match="non-commuting"):
+        convolve(V, W)
+
+
+@st.composite
+def _exact_kernels(draw):
+    group = Group(draw(st.sampled_from([(2,), (3,), (4,), (2, 2)])))
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    vals = np.empty((k, k, group.order), dtype=object)
+    size = vals.size
+    nums = draw(st.lists(st.integers(-24, 24), min_size=size, max_size=size))
+    dens = draw(st.lists(st.integers(1, 12), min_size=size, max_size=size))
+    for idx, a, b in zip(np.ndindex(vals.shape), nums, dens):
+        vals[idx] = Fraction(a, b)
+    measures = [Fraction(w, sum(weights)) for w in weights]
+    return StepKernel(group, measures, mirror_canonical(group, vals))
+
+
+@given(_exact_kernels(), st.data())
+def test_exact_convolution_property_matches_oracle(W, data):
+    _assert_matches_oracle(W)
+    p = data.draw(st.integers(0, W.k - 1))
+    t = data.draw(st.fractions(min_value=Fraction(1, 7), max_value=Fraction(6, 7), max_denominator=7))
+    _assert_matches_oracle(_split_part(W, p, t), W)
+
+
+def test_cli_exact_convolve_writes_oracle_result(tmp_path):
+    g = Group((3,))
+    W = random_w00(g, 4, np.random.default_rng(34), exact=True)
+    assert len(set(W.measures)) > 1
+    src, out = tmp_path / "w.json", tmp_path / "c.json"
+    dump_json(kernel_to_json_dict(W), str(src))
+    assert main(["graphon", "convolve", "--exact", "--in", str(src), "--out", str(out)]) == 0
+    measures, values = _fraction_convolve(W)
+    assert out.read_text() == dumps_json(kernel_to_json_dict(StepKernel(g, measures, values)))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from cochainlab.cochains import edge_list
 from cochainlab.complexes import (
@@ -335,7 +335,6 @@ def _int_matrices(draw, square=False):
     return np.array(values, dtype=np.int64).reshape(m, k)
 
 
-@settings(derandomize=True, deadline=None)
 @given(_int_matrices())
 def test_snf_property_matches_dense_and_chains(M):
     d = smith_normal_form(M)
@@ -344,7 +343,6 @@ def test_snf_property_matches_dense_and_chains(M):
     assert all(b % a == 0 for a, b in zip(d, d[1:]))
 
 
-@settings(derandomize=True, deadline=None)
 @given(_int_matrices(square=True))
 def test_snf_property_product_is_abs_det(M):
     d = smith_normal_form(M)
@@ -355,7 +353,6 @@ def test_snf_property_product_is_abs_det(M):
         assert len(d) < M.shape[0]
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.data())
 def test_snf_property_permutation_and_sign_invariant(data):
     M = data.draw(_int_matrices())
@@ -376,7 +373,6 @@ def _complexes(draw):
     return TwoComplex(n, draw(st.permutations(tris))[:k])
 
 
-@settings(derandomize=True, deadline=None)
 @given(_complexes())
 def test_face_rows_match_dense_boundary(X):
     d2 = boundary_matrices(X).d2

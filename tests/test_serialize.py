@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cochainlab.cochains import random_cochain
 from cochainlab.groups import SymmetricDistribution
 from cochainlab.complexes import TwoComplex, sample_one_out
-from cochainlab.graphons import StepKernel, random_kernel, random_w00
+from cochainlab.graphons import StepKernel, mirror_canonical, random_kernel, random_w00
 from cochainlab.groups import Group
 from cochainlab.serialize import (
     cochain_from_json_dict,
@@ -125,6 +126,121 @@ def test_kernel_graphon_gate():
     else:
         with pytest.raises(ValueError, match="range violated"):
             kernel_from_json_dict(d, require_graphon=True)
+
+
+_GROUPS = st.sampled_from([(2,), (3,), (4,), (2, 2)]).map(Group)
+
+
+@st.composite
+def _kernels(draw, exact):
+    """Random symmetric step kernels, exact (Fraction) or float."""
+    group = draw(_GROUPS)
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    size = k * k * group.order
+    if exact:
+        measures = [Fraction(w, sum(weights)) for w in weights]
+        nums = draw(st.lists(st.integers(-(10**30), 10**30), min_size=size, max_size=size))
+        dens = draw(st.lists(st.integers(1, 10**12), min_size=size, max_size=size))
+        cells = [Fraction(a, b) for a, b in zip(nums, dens)]
+    else:
+        measures = [w / sum(weights) for w in weights]
+        cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size))
+    vals = np.empty((k, k, group.order), dtype=object if exact else float)
+    for idx, v in zip(np.ndindex(vals.shape), cells):
+        vals[idx] = v
+    return StepKernel(group, measures, mirror_canonical(group, vals))
+
+
+@given(_kernels(exact=True))
+def test_kernel_roundtrip_exact_property(W):
+    back = kernel_from_json_dict(json.loads(dumps_json(kernel_to_json_dict(W))), exact=True)
+    assert back.exact and back.group == W.group
+    assert all(type(x) is Fraction for x in [*back.measures, *back.values.flat])
+    assert np.array_equal(back.measures, W.measures)
+    assert np.array_equal(back.values, W.values)
+    # fraction strings are read exactly without --exact too
+    assert np.array_equal(kernel_from_json_dict(kernel_to_json_dict(W)).values, W.values)
+
+
+@given(_kernels(exact=False))
+def test_kernel_roundtrip_float_property(W):
+    back = kernel_from_json_dict(json.loads(dumps_json(kernel_to_json_dict(W))))
+    assert not back.exact and back.group == W.group
+    assert back.measures.tobytes() == W.measures.tobytes()
+    assert back.values.tobytes() == W.values.tobytes()
+
+
+_BAD_NUMBERS = st.sampled_from(
+    [None, True, False, [], [0.5], {}, "", "abc", "1/0", "0/0", "1/2/3", "nan", "inf",
+     float("nan"), float("inf"), -float("inf")]
+)
+
+
+@given(_kernels(exact=True), st.booleans(), st.booleans(), st.data())
+def test_kernel_rejects_bad_number_anywhere(W, float_doc, exact, data):
+    """A non-number, a malformed fraction or a non-finite number at any
+    measure or value position raises ValueError, in float and exact mode."""
+    doc = kernel_to_json_dict(W.to_float() if float_doc else W)
+    if data.draw(st.booleans()):
+        target, key = doc["part_measures"], data.draw(st.integers(0, W.k - 1))
+    else:
+        i, j = data.draw(st.integers(0, W.k - 1)), data.draw(st.integers(0, W.k - 1))
+        target, key = doc["values"][i][j], data.draw(st.integers(0, W.group.order - 1))
+    target[key] = data.draw(_BAD_NUMBERS)
+    with pytest.raises(ValueError):
+        kernel_from_json_dict(doc, exact=exact)
+
+
+_BAD_SHAPES = st.sampled_from([None, 3, 0.5, "ab", {}, [], [[]], [None], [[None]], [[1.0]]])
+
+
+@given(_kernels(exact=True), st.sampled_from(["measures", "values", "row", "cell"]), _BAD_SHAPES)
+def test_kernel_rejects_bad_shape_anywhere(W, where, bad):
+    doc = kernel_to_json_dict(W)
+    if where == "measures":
+        doc["part_measures"] = bad
+    elif where == "values":
+        doc["values"] = bad
+    elif where == "row":
+        doc["values"][0] = bad
+    else:
+        doc["values"][0][0] = bad
+    with pytest.raises(ValueError):
+        kernel_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_kernel_rejects_bool_where_it_keeps_symmetry(exact):
+    """values[0][0][0] is its own mirror, so only the type check can reject it."""
+    doc = kernel_to_json_dict(random_w00(Group((2,)), 2, np.random.default_rng(63), exact=exact))
+    doc["values"][0][0][0] = True
+    with pytest.raises(ValueError, match="True is not a JSON number or fraction string"):
+        kernel_from_json_dict(doc, exact=exact)
+
+
+@pytest.mark.parametrize("path", [("part_measures", 1), ("values", 0, 0, 0)])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_kernel_rejects_non_finite_float_among_fractions(path, bad):
+    """Without exact mode the float stays a float while the "p/q" strings
+    around it are read as Fractions; turning it into a Fraction names it."""
+    doc = kernel_to_json_dict(random_w00(Group((2,)), 2, np.random.default_rng(64), exact=True))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    with pytest.raises(ValueError, match=f"number {bad!r} is not a finite fraction"):
+        kernel_from_json_dict(doc)
+
+
+def test_kernel_rejects_oversized_float_integer():
+    W = random_kernel(Group((2,)), 2, np.random.default_rng(62))
+    doc = kernel_to_json_dict(W)
+    doc["values"][0][0][0] = 10**400
+    with pytest.raises(ValueError, match="a 1329-bit integer does not fit a float"):
+        kernel_from_json_dict(doc)
+    doc["part_measures"] = ["1/2", "1/2"]
+    assert kernel_from_json_dict(doc, exact=True).values[0, 0, 0] == 10**400
 
 
 def test_complex_roundtrip():
