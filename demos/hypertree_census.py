@@ -15,15 +15,15 @@ from cochainlab import (
     smith_normal_form,
 )
 
-for n in (4, 5, 6):
-    trees = enumerate_hypertrees(n)
+census = {n: enumerate_hypertrees(n) for n in (4, 5, 6)}
+for n, trees in census.items():
     total = sum(t * t for _, t in trees)
     expect = n ** math.comb(n - 2, 2)
     print(f"n={n}: {len(trees)} complexes, sum |H1|^2 = {total} (target {expect})")
 
 # every complex with torsion shows up at n = 6, and each one is a 6-vertex
 # triangulation of the projective plane
-torsion = [(X, t) for X, t in enumerate_hypertrees(6) if t > 1]
+torsion = [(X, t) for X, t in census[6] if t > 1]
 print(f"\nn=6 torsion complexes: {len(torsion)}, all with |H1| = "
       f"{sorted({t for _, t in torsion})}")
 
@@ -39,5 +39,5 @@ print(f"minimal generator count: {rep.min_generators}")
 
 # the square of the torsion is what the determinantal measure weights by,
 # so these twelve complexes each carry 4x the probability of an ordinary one
-d = smith_normal_form(boundary_matrices(X).d2)
+d = smith_normal_form(boundary_matrices(X))
 print(f"\nSNF divisor chain: {d}, product {math.prod(d)}")

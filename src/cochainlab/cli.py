@@ -29,7 +29,7 @@ from .graphons import (
     entropy,
     rate_function,
 )
-from .groups import Group, SymmetricDistribution, distribution_from_json
+from .groups import Group, SymmetricDistribution
 from .homology import homology_report
 from .lab import (
     ExperimentConfig,
@@ -46,6 +46,7 @@ from .regularity import fk_decompose
 from .serialize import (
     complex_from_json_dict,
     complex_to_json_dict,
+    distribution_from_json,
     dumps_json,
     kernel_from_json_dict,
     kernel_to_json_dict,
@@ -93,8 +94,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _common(p: argparse.ArgumentParser, seed_default=0):
-    p.add_argument("--seed", type=int, default=seed_default)
+def _common(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -165,9 +165,8 @@ def _reduced_boundary(n: int) -> np.ndarray:
     space: a 1-cycle supported on the star of vertex n would live on a tree.
     Shape (C(n-1,2), C(n,3)), int64, one column per all_triangles(n) entry;
     cached read-only."""
-    bm = boundary_matrices(full_two_skeleton(n))
     keep = [i for i, (u, v) in enumerate(edge_list(n)) if v <= n - 1]
-    B = bm.d2[keep, :]
+    B = boundary_matrices(full_two_skeleton(n))[keep, :]
     B.flags.writeable = False
     return B
 
@@ -186,7 +185,7 @@ class ProjectionKernel:
         self.n = n
         self.triangles = all_triangles(n)
         self.rank = math.comb(n - 1, 2)
-        self.d2 = boundary_matrices(full_two_skeleton(n)).d2
+        self.d2 = boundary_matrices(full_two_skeleton(n))
 
     def column(self, i: int) -> np.ndarray:
         """K[:, i]: face (u, v, w) has +1 at uv, -1 at uw, +1 at vw in d2."""
@@ -255,7 +254,7 @@ def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
 def exact_kernel(n: int):
     """The projection kernel in exact integers as (G, n), K = G / n
     elementwise, with G = d2^T d2 of the full skeleton."""
-    d2 = boundary_matrices(full_two_skeleton(n)).d2
+    d2 = boundary_matrices(full_two_skeleton(n))
     return d2.T @ d2, n
 
 
@@ -346,10 +345,8 @@ def enumerate_hypertrees(n: int):
                 raise ArithmeticError("float determinant too ambiguous to round")
             faces = [tris[i] for i in row]
             X = TwoComplex(n, faces)
-            divisors = smith_normal_form(boundary_matrices(X).d2)
-            torsion = 1
-            for dv in divisors:
-                torsion *= dv
+            divisors = smith_normal_form(boundary_matrices(X))
+            torsion = math.prod(divisors)
             if len(divisors) != r or torsion != order:
                 raise ArithmeticError(
                     "Smith normal form disagrees with the reduced determinant"

@@ -99,22 +99,19 @@ class StepKernel:
         outer = mu[:, None] * mu[None, :]
         return np.array([(outer * self.values[:, :, g]).sum() for g in range(self.group.order)])
 
-    def in_w00(self, tol: float = W00_TOL) -> bool:
-        if not self.is_graphon(tol if not self.exact else 1e-12):
+    def in_w00(self) -> bool:
+        """Probability kernel: values in [0, 1] and slice sums 1, both within
+        W00_TOL for float kernels and exactly for exact ones."""
+        if not self.is_graphon(W00_TOL):
             return False
         sums = self.values.sum(axis=2)
         if self.exact:
             return all(s == 1 for s in sums.flat)
-        return bool(np.abs(sums - 1.0).max() <= tol)
+        return bool(np.abs(sums - 1.0).max() <= W00_TOL)
 
     def boundaries(self):
-        """Part boundaries 0 < b_1 < ... < b_k = 1 (cumulative measures)."""
-        if self.exact:
-            out, acc = [], Fraction(0)
-            for m in self.measures:
-                acc += m
-                out.append(acc)
-            return out
+        """Part boundaries 0 < b_1 < ... < b_k = 1 (cumulative measures);
+        Fractions for exact kernels, since object arrays sum exactly."""
         return list(np.cumsum(self.measures))
 
     def __repr__(self):
@@ -176,18 +173,6 @@ def mirror_canonical(group: Group, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_kernel(group: Group, k: int = 1, exact: bool = False) -> StepKernel:
-    """The uniform graphon: every slice constant 1/|G|."""
-    if exact:
-        measures = [Fraction(1, k)] * k
-        vals = np.empty((k, k, group.order), dtype=object)
-        vals[...] = Fraction(1, group.order)
-    else:
-        measures = [1.0 / k] * k
-        vals = np.full((k, k, group.order), 1.0 / group.order)
-    return StepKernel(group, measures, vals)
-
-
 def constant_kernel(group: Group, nu: SymmetricDistribution, k: int = 1) -> StepKernel:
     """W^g constant nu(g); symmetric because nu is."""
     if nu.exact:
@@ -201,12 +186,18 @@ def constant_kernel(group: Group, nu: SymmetricDistribution, k: int = 1) -> Step
     return StepKernel(group, measures, vals)
 
 
+def uniform_kernel(group: Group, k: int = 1, exact: bool = False) -> StepKernel:
+    """The uniform graphon: every slice constant 1/|G|."""
+    return constant_kernel(group, SymmetricDistribution.uniform(group, exact), k)
+
+
 # ---------------------------------------------------------------------------
 # common refinement
 
-def _refine_boundaries(bv, bw, exact: bool, tol: float = 1e-12):
+def _refine_boundaries(bv, bw, exact: bool):
     """Merge two sorted boundary lists ending at 1; returns (merged, map_v, map_w)
-    where map_v[r] = part of V containing refined part r."""
+    where map_v[r] = part of V containing refined part r. Float boundaries
+    within 1e-12 of each other are one cut."""
     merged = []
     iv = iw = 0
     cur = []
@@ -219,8 +210,8 @@ def _refine_boundaries(bv, bw, exact: bool, tol: float = 1e-12):
             nxt = cw
         else:
             nxt = min(cv, cw)
-        same_v = cv is not None and (cv == nxt if exact else abs(float(cv) - float(nxt)) <= tol)
-        same_w = cw is not None and (cw == nxt if exact else abs(float(cw) - float(nxt)) <= tol)
+        same_v = cv is not None and (cv == nxt if exact else abs(float(cv) - float(nxt)) <= 1e-12)
+        same_w = cw is not None and (cw == nxt if exact else abs(float(cw) - float(nxt)) <= 1e-12)
         cur.append(nxt)
         merged.append((iv, iw))
         if same_v:
@@ -287,8 +278,9 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_box_exact(A: np.ndarray, return_witness: bool = False):
-    """max over S, T subseteq rows/cols of |sum_{i in S, j in T} A[i, j]|.
+def max_box_exact(A: np.ndarray):
+    """max over S, T subseteq rows/cols of |sum_{i in S, j in T} A[i, j]|,
+    returned as (value, S, T, signed box sum), as max_box_heuristic does.
 
     Exhaustive over S (2^k masks); T greedy per sign. A is the already
     measure-weighted matrix, so this is the cut norm contribution of one
@@ -333,8 +325,6 @@ def max_box_exact(A: np.ndarray, return_witness: bool = False):
     if k == m and np.array_equal(A, A.T):
         S, T = min((S, T), (T, S))
     value = math.fsum(A[np.ix_(S, T)].flat)
-    if not return_witness:
-        return abs(value)
     return abs(value), S, T, value
 
 
@@ -391,7 +381,7 @@ def cut_norm(W: StepKernel) -> float:
     """Sum over g of the exact slice cut norms. Raises CutNormTooLarge past
     24 parts; see cut_norm_lower for the heuristic."""
     slabs = _weighted_slices(W)
-    return float(sum(max_box_exact(slabs[:, :, g]) for g in range(W.group.order)))
+    return float(sum(max_box_exact(slabs[:, :, g])[0] for g in range(W.group.order)))
 
 
 def cut_norm_lower(W: StepKernel, rng: np.random.Generator | None = None) -> float:
@@ -411,19 +401,20 @@ def _permute_parts(W: StepKernel, perm) -> StepKernel:
     )
 
 
-def cut_distance_bounds(
-    V: StepKernel,
-    W: StepKernel,
-    rng: np.random.Generator | None = None,
-    exhaustive_limit: int = 7,
-    samples: int = 200,
-):
+# cut_distance_bounds tries all k! part alignments up to this k, and beyond
+# it this many random ones before hill climbing.
+EXHAUSTIVE_ALIGN_LIMIT = 7
+ALIGN_SAMPLES = 200
+
+
+def cut_distance_bounds(V: StepKernel, W: StepKernel, rng: np.random.Generator | None = None):
     """(lower, upper) bracket for the alignment-optimized cut distance.
 
     upper: min over part alignments of ||V - W o sigma||_cut. All k!
-    permutations when both kernels have k <= exhaustive_limit parts of equal
-    measure; otherwise seeded random alignments refined by pairwise-swap
-    hill climbing (still a valid upper bound, possibly loose).
+    permutations when both kernels have k <= EXHAUSTIVE_ALIGN_LIMIT parts of
+    equal measure; otherwise ALIGN_SAMPLES seeded random alignments refined
+    by pairwise-swap hill climbing (still a valid upper bound, possibly
+    loose).
 
     lower: alignment-free invariants. Slice masses int W^g are preserved by
     any measure-preserving map, and |int V^g - int W^g| <= ||(V - W)^g||_cut
@@ -449,12 +440,12 @@ def cut_distance_bounds(
         and np.allclose(V.float_measures(), 1.0 / k, atol=1e-12)
         and np.allclose(W.float_measures(), 1.0 / k, atol=1e-12)
     )
-    if equal and k <= exhaustive_limit:
+    if equal and k <= EXHAUSTIVE_ALIGN_LIMIT:
         upper = min(aligned_norm(p) for p in _it.permutations(range(k)))
     else:
         best_perm = np.arange(k)
         upper = aligned_norm(best_perm)
-        for _ in range(samples):
+        for _ in range(ALIGN_SAMPLES):
             p = rng.permutation(k)
             val = aligned_norm(p)
             if val < upper:
@@ -610,12 +601,14 @@ def b_log_terms(W: StepKernel) -> dict:
     return {a: c for a, c in terms.items() if c != 0}
 
 
-def rate_function(W: StepKernel, nu: SymmetricDistribution, tol: float = W00_TOL) -> float:
+def rate_function(W: StepKernel, nu: SymmetricDistribution) -> float:
     """Relative-entropy rate (1/2) int sum_g W^g log(W^g / nu(g)); +inf off
-    the probability-kernel set (slice sums must be 1 within tol)."""
+    the probability-kernel set (slice sums must be 1 within W00_TOL)."""
     if not W.is_graphon():
         raise ValueError("rate_function needs values in [0, 1]")
-    if not W.in_w00(tol):
+    if nu.group != W.group:
+        raise ValueError(f"nu is a distribution on {nu.group}, the kernel is over {W.group}")
+    if not W.in_w00():
         return math.inf
     Wf = W.to_float()
     mu = Wf.measures
@@ -628,9 +621,9 @@ def rate_function(W: StepKernel, nu: SymmetricDistribution, tol: float = W00_TOL
     return 0.5 * float((outer[:, :, None] * vals * logr).sum())
 
 
-def entropy(W: StepKernel, tol: float = W00_TOL) -> float:
+def entropy(W: StepKernel) -> float:
     """log|G| - 2 I_uniform(W); -inf off the probability-kernel set."""
-    r = rate_function(W, SymmetricDistribution.uniform(W.group), tol)
+    r = rate_function(W, SymmetricDistribution.uniform(W.group))
     if math.isinf(r):
         return -math.inf
     return math.log(W.group.order) - 2.0 * r

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -175,22 +175,3 @@ class SymmetricDistribution:
     def __repr__(self):
         return f"SymmetricDistribution({self.group}, {self.to_json_dict()})"
 
-
-def group_from_json(data: Sequence[int]) -> Group:
-    if not isinstance(data, (list, tuple)):
-        raise ValueError("group JSON must be a list of moduli, e.g. [2] or [3, 3]")
-    return Group(data)
-
-
-def distribution_from_json(data: Mapping, exact: bool = False) -> SymmetricDistribution:
-    if not isinstance(data, Mapping) or "group" not in data or "probs" not in data:
-        raise ValueError(
-            'distribution JSON needs {"group": [moduli...], "probs": {"label": p}}'
-        )
-    group = group_from_json(data["group"])
-    vals = {}
-    for k, v in data["probs"].items():
-        if isinstance(v, str) or exact:
-            v = Fraction(v)
-        vals[k] = v
-    return SymmetricDistribution(group, vals)

@@ -20,8 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cochains import edge_index, edge_list
-
 
 # Miller-Rabin with the prime bases up to 37 decides primality exactly below
 # 2^64 (Jaeschke 1993; Sorenson and Webster 2017). A witness proves p
@@ -79,32 +77,15 @@ def _check_boundary_size(n: int, num_faces: int) -> int:
     return E
 
 
-@dataclass(frozen=True)
-class BoundaryMatrices:
-    """Integer triangle boundary of a 2-complex with complete 1-skeleton.
-
-    d2: (E, F) edge-by-triangle; triangle (u < v < w) gets +1 at uv, -1 at uw,
-    +1 at vw. The vertex-by-edge incidence d1 is not built; d1 @ d2 = 0 is
-    checked in the tests.
-    """
-
-    n: int
-    edges: tuple
-    triangles: tuple
-    d2: np.ndarray
-
-
-def boundary_matrices(X) -> BoundaryMatrices:
-    n = X.n
-    triangles = tuple(X.triangles)
-    E = _check_boundary_size(n, len(triangles))
-    edges = edge_list(n)
-    d2 = np.zeros((E, len(triangles)), dtype=np.int64)
-    for j, (u, v, w) in enumerate(triangles):
-        d2[edge_index(n, u, v), j] = 1
-        d2[edge_index(n, u, w), j] = -1
-        d2[edge_index(n, v, w), j] = 1
-    return BoundaryMatrices(n, edges, triangles, d2)
+def boundary_matrices(X) -> np.ndarray:
+    """The dense int64 triangle boundary d2 of X, (C(n,2), faces): column j
+    is face j's row of _face_rows. The vertex-by-edge incidence d1 is not
+    built; d1 @ d2 = 0 is checked in the tests."""
+    rows = _face_rows(X)
+    d2 = np.zeros((X.n * (X.n - 1) // 2, len(rows)), dtype=np.int64)
+    cols = [j for j, row in enumerate(rows) for _ in row]
+    d2[[e for row in rows for e in row], cols] = [x for row in rows for x in row.values()]
+    return d2
 
 
 # ---------------------------------------------------------------------------

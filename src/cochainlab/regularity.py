@@ -19,7 +19,6 @@ from .graphons import (
     max_box_exact,
     max_box_heuristic,
     mirror_canonical,
-    CutNormTooLarge,
     EXACT_CUT_LIMIT,
 )
 
@@ -79,20 +78,15 @@ class Partition:
         return {"size": self.size, "blocks": [list(b) for b in self.blocks]}
 
 
-def _step_weighted(slices: list[np.ndarray], mu: np.ndarray, P: Partition):
-    """Block averages per slice under vertex weights mu; returns the stepped
-    slices and the block measure vector."""
+def _step(A: np.ndarray, mu: np.ndarray, P: Partition) -> np.ndarray:
+    """A averaged over the blocks of P x P under vertex weights mu, at A's
+    shape."""
     bm = np.array([mu[list(b)].sum() for b in P.blocks])
     agg = np.zeros((P.num_parts, len(mu)))
     for b, members in enumerate(P.blocks):
         agg[b, list(members)] = mu[list(members)]
-    stepped = []
-    denom = np.outer(bm, bm)
-    for A in slices:
-        blocks = agg @ A @ agg.T / denom
-        idx = P.block_index()
-        stepped.append(blocks[np.ix_(idx, idx)])
-    return stepped, bm
+    idx = P.block_index()
+    return (agg @ A @ agg.T / np.outer(bm, bm))[np.ix_(idx, idx)]
 
 
 def step_matrix(M: np.ndarray, P: Partition) -> np.ndarray:
@@ -100,8 +94,7 @@ def step_matrix(M: np.ndarray, P: Partition) -> np.ndarray:
     n = M.shape[0]
     if M.shape != (n, n) or P.size != n:
         raise ValueError("partition size must match a square matrix")
-    stepped, _ = _step_weighted([M], np.full(n, 1.0 / n), P)
-    return stepped[0]
+    return _step(M, np.full(n, 1.0 / n), P)
 
 
 def step_kernel(W: StepKernel, P: Partition) -> StepKernel:
@@ -109,9 +102,7 @@ def step_kernel(W: StepKernel, P: Partition) -> StepKernel:
     if P.size != Wf.k:
         raise ValueError("partition size must match the kernel part count")
     mu = Wf.float_measures()
-    slices = [Wf.values[:, :, g] for g in range(Wf.group.order)]
-    stepped, _ = _step_weighted(slices, mu, P)
-    vals = np.stack(stepped, axis=2)
+    vals = np.stack([_step(Wf.values[:, :, g], mu, P) for g in range(Wf.group.order)], axis=2)
     return StepKernel(Wf.group, Wf.measures, mirror_canonical(Wf.group, vals), _validate=False)
 
 
@@ -127,7 +118,7 @@ def matrix_cut_norm(M: np.ndarray) -> float:
     exhaustive over row subsets, so limited to n <= 24."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    return float(max_box_exact(M / (n * n)))
+    return float(max_box_exact(M / (n * n))[0])
 
 
 def matrix_cut_norm_lower(M: np.ndarray, rng: np.random.Generator | None = None) -> float:
@@ -168,16 +159,18 @@ class FKResult:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _slice_energy(A: np.ndarray, mu: np.ndarray, P: Partition) -> float:
-    stepped, _ = _step_weighted([A], mu, P)
-    S = stepped[0]
+def _slice_energy(S: np.ndarray, mu: np.ndarray) -> float:
+    """The energy int S^2 of an already stepped slice S."""
     return float(((mu[:, None] * mu[None, :]) * S * S).sum())
 
 
-def _slice_box(D: np.ndarray, mu: np.ndarray, exact: bool, rng):
+def _slice_box(D: np.ndarray, mu: np.ndarray, rng):
+    """(value, S, T, signed) of the largest box of the residual slice D
+    weighted by mu x mu: the exact oracle up to EXACT_CUT_LIMIT rows, the
+    heuristic lower bound beyond."""
     A = D * np.outer(mu, mu)
-    if exact:
-        return max_box_exact(A, return_witness=True)
+    if len(mu) <= EXACT_CUT_LIMIT:
+        return max_box_exact(A)
     return max_box_heuristic(A, rng)
 
 
@@ -212,7 +205,7 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
             scale = 1.0
         slices = [M]
         threshold = eps * scale
-    exact_oracle = size <= EXACT_CUT_LIMIT
+    certified = size <= EXACT_CUT_LIMIT  # _slice_box runs the exact oracle
     cap = math.ceil(1.0 / threshold**2)
     P = Partition.single_block(size)
     per_slice_rounds = [0] * len(slices)
@@ -224,15 +217,14 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
         for g, A in enumerate(slices):
             if per_slice_rounds[g] >= cap:
                 continue
-            stepped, _ = _step_weighted([A], mu, P)
-            D = A - stepped[0]
-            best, S, T, boxval = _slice_box(D, mu, exact_oracle, rng)
+            stepped = _step(A, mu, P)
+            best, S, T, boxval = _slice_box(A - stepped, mu, rng)
             if best <= threshold:
                 swept[g] = best
                 continue
-            e_before = _slice_energy(A, mu, P)
+            e_before = _slice_energy(stepped, mu)
             P = P.refine_by_sets(S, T)
-            e_after = _slice_energy(A, mu, P)
+            e_after = _slice_energy(_step(A, mu, P), mu)
             if e_after < e_before - 1e-12:
                 raise AssertionError("stepped energy decreased; decomposition bug")
             per_slice_rounds[g] += 1
@@ -256,17 +248,11 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
     if P.num_parts > 4**rounds:
         raise AssertionError("partition grew past the 4^rounds bound")
     residual = 0.0
-    certified = exact_oracle
     for g, A in enumerate(slices):
-        if exact_oracle and g in swept:  # the final sweep scanned this slice under P
+        if certified and g in swept:  # the final sweep scanned this slice under P
             residual += swept[g]
-            continue
-        stepped, _ = _step_weighted([A], mu, P)
-        D = (A - stepped[0]) * np.outer(mu, mu)
-        if exact_oracle:
-            residual += max_box_exact(D)
         else:
-            residual += max_box_heuristic(D, rng)[0]
+            residual += _slice_box(A - _step(A, mu, P), mu, rng)[0]
     return FKResult(
         partition=P,
         rounds=rounds,
@@ -279,9 +265,9 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
     )
 
 
-def factor_two_check(W1, W2, P: Partition, tol: float = 1e-12):
+def factor_two_check(W1, W2, P: Partition):
     """For P-measurable W2: the stepping error of W1 under P is at most twice
-    the cut distance from W1 to W2. Returns (holds, lhs, rhs).
+    the cut distance from W1 to W2, up to 1e-12. Returns (holds, lhs, rhs).
 
     Both arguments matrices, or both step kernels on identical partitions."""
     from .graphons import cut_norm, kernel_difference
@@ -303,4 +289,4 @@ def factor_two_check(W1, W2, P: Partition, tol: float = 1e-12):
             raise ValueError("W2 is not measurable with respect to P")
         lhs = matrix_cut_norm(M1 - step_matrix(M1, P))
         rhs = 2.0 * matrix_cut_norm(M1 - M2)
-    return lhs <= rhs + tol, float(lhs), float(rhs)
+    return lhs <= rhs + 1e-12, float(lhs), float(rhs)

@@ -14,7 +14,7 @@ import numpy as np
 from .cochains import Cochain, edge_list
 from .complexes import TwoComplex
 from .graphons import StepKernel
-from .groups import Group, group_from_json
+from .groups import Group, SymmetricDistribution
 
 
 def _num_to_json(v):
@@ -60,6 +60,43 @@ def _int_from_json(v, field: str) -> int:
     return v
 
 
+def _ints_from_json(v, field: str) -> list[int]:
+    """A JSON array of integers (see _int_from_json)."""
+    if not isinstance(v, list):
+        raise ValueError(f"{field} must be a JSON array of integers, got {v!r}")
+    return [_int_from_json(x, f"each {field} entry") for x in v]
+
+
+# ---------------------------------------------------------------------------
+# groups and distributions
+
+def group_from_json(data) -> Group:
+    """A group from its list of moduli, e.g. [2] or [3, 3]."""
+    return Group(_ints_from_json(data, "group"))
+
+
+def distribution_from_json(data) -> SymmetricDistribution:
+    """{"group": [moduli...], "probs": {"label": p}}; a probability is a
+    JSON number or a fraction string (read exactly)."""
+    if not isinstance(data, dict) or "group" not in data or "probs" not in data:
+        raise ValueError(
+            'distribution JSON needs {"group": [moduli...], "probs": {"label": p}}'
+        )
+    group = group_from_json(data["group"])
+    probs = data["probs"]
+    if not isinstance(probs, dict):
+        raise ValueError(f"probs must be a JSON object of label: probability, got {probs!r}")
+    if len(probs) != group.order:
+        raise ValueError(f"probs must give all {group.order} group elements, got {len(probs)}")
+    vals = {}
+    for label, p in probs.items():
+        try:
+            vals[label] = _num_from_json(p, exact=False)
+        except ValueError as exc:
+            raise ValueError(f"probs[{label!r}]: {exc}") from None
+    return SymmetricDistribution(group, vals)
+
+
 # ---------------------------------------------------------------------------
 # cochains
 
@@ -81,19 +118,25 @@ def cochain_from_json_dict(data: dict) -> Cochain:
         edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"cochain JSON needs n, group, edges: {exc}") from exc
-    want = edge_list(n)
+    if not isinstance(edges, list):
+        raise ValueError(f"edges must be a JSON array, got {edges!r}")
+    if n < 2:
+        raise ValueError(f"cochain JSON needs n >= 2, got {n}")
     labels = {}
     for item in edges:
+        if not isinstance(item, dict) or not {"u", "v", "g"} <= item.keys():
+            raise ValueError(f"each edge must be an object with u, v and g, got {item!r}")
         u, v = _int_from_json(item["u"], "u"), _int_from_json(item["v"], "v")
         if not (1 <= u < v <= n):
             raise ValueError(f"edge ({u}, {v}) violates 1 <= u < v <= n")
         if (u, v) in labels:
             raise ValueError(f"edge ({u}, {v}) listed twice")
-        labels[(u, v)] = group.index(group.check(item["g"]))
-    missing = [e for e in want if e not in labels]
-    if missing:
-        raise ValueError(f"cochain JSON is missing edges, first: {missing[0]}")
-    return Cochain(group, n, [labels[e] for e in want])
+        labels[(u, v)] = group.index(group.check(_ints_from_json(item["g"], "g")))
+    if len(labels) < n * (n - 1) // 2:  # checked before the C(n,2) edge list is built
+        pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))  # lazy, unlike combinations
+        first = next(e for e in pairs if e not in labels)
+        raise ValueError(f"cochain JSON is missing edges, first: {first}")
+    return Cochain(group, n, [labels[e] for e in edge_list(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +187,13 @@ def complex_to_json_dict(X: TwoComplex) -> dict:
 
 def complex_from_json_dict(data: dict) -> TwoComplex:
     try:
-        return TwoComplex(_int_from_json(data["n"], "n"), data["triangles"])
+        n = _int_from_json(data["n"], "n")
+        triangles = data["triangles"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"complex JSON needs n and triangles: {exc}") from exc
+    if not isinstance(triangles, list) or not all(isinstance(t, list) and len(t) == 3 for t in triangles):
+        raise ValueError("triangles must be a JSON array of [u, v, w] vertex triples")
+    return TwoComplex(n, triangles)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_02_kernel_certificate_and_sampler():
     # every maximal subset: det(K_S) = squared torsion / 125, or 0 off support
     worst = 0.0
     for S in itertools.combinations(tris, 6):
-        d = smith_normal_form(boundary_matrices(TwoComplex(n, S)).d2)
+        d = smith_normal_form(boundary_matrices(TwoComplex(n, S)))
         t2 = 0
         if len(d) == 6:
             t = 1

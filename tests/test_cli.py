@@ -357,3 +357,42 @@ def test_homology_rejects_modulus_it_cannot_use(tmp_path, capsys, p, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", [[2.7], ["2"], [True]])
+def test_graphon_rejects_non_integer_modulus(kernel_file, tmp_path, capsys, group):
+    bad = _corrupt_kernel(kernel_file, tmp_path, ("group",), group)
+    assert run(["graphon", "cutnorm", "--in", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"each group entry must be an integer, got {group[0]!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.5, 0.5], "probs must be a JSON object of label: probability, got [0.5, 0.5]"),
+        ("0.5", "probs must be a JSON object of label: probability, got '0.5'"),
+        ({"0": [1], "1": 0.5}, "probs['0']: number [1] is not a JSON number or fraction string"),
+        ({"0": True, "1": 0}, "probs['0']: number True is not a JSON number or fraction string"),
+        ({"0": 0.5}, "probs must give all 2 group elements, got 1"),
+    ],
+)
+def test_graphon_rate_rejects_malformed_nu(kernel_file, tmp_path, capsys, probs, message):
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps({"group": [2], "probs": probs}))
+    assert run(["graphon", "rate", "--in", kernel_file, "--nu", str(nu)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_graphon_rate_rejects_nu_on_another_group(tmp_path, capsys):
+    """Z/2 x Z/2 and Z/4 have the same order, so only the group check sees it."""
+    W = random_w00(Group((2, 2)), 2, np.random.default_rng(71))
+    kernel = tmp_path / "w.json"
+    dump_json(kernel_to_json_dict(W), str(kernel))
+    nu = tmp_path / "nu.json"
+    nu.write_text(json.dumps({"group": [4], "probs": {"0": 0.25, "1": 0.25, "2": 0.25, "3": 0.25}}))
+    assert run(["graphon", "rate", "--in", str(kernel), "--nu", str(nu)]) == 2
+    assert "nu is a distribution on Z/4, the kernel is over Z/2 x Z/2" in capsys.readouterr().err

@@ -139,7 +139,7 @@ def test_closed_form_kernel_identities():
     # C(n-1,2): G symmetric, G G = n G and trace G = n C(n-1,2), all in exact
     # integers, from d2 d2^T + d1^T d1 = n I on the complete complex
     for n in range(3, 13):
-        d2 = boundary_matrices(full_two_skeleton(n)).d2
+        d2 = boundary_matrices(full_two_skeleton(n))
         d1 = _d1(n)
         G, m = exact_kernel(n)
         assert m == n
@@ -364,7 +364,7 @@ def test_sample_hypertree_is_hypertree():
         for _ in range(5):
             T = sample_hypertree(n, rng)
             assert T.num_faces == math.comb(n - 1, 2)
-            d2 = boundary_matrices(T).d2
+            d2 = boundary_matrices(T)
             d = smith_normal_form(d2)
             assert all(x >= 1 for x in d)
             assert len(d) == T.num_faces  # full column rank: acyclic H_2

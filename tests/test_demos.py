@@ -28,6 +28,12 @@ def test_regularity_demo_certifies_its_residual():
     assert residual[0].endswith("(certified)")
 
 
+def test_hypertree_census_demo_finds_the_projective_planes():
+    out = _run_demo("hypertree_census.py")
+    assert "n=6 torsion complexes: 12, all with |H1| = [2]" in out
+    assert "SNF divisor chain: (1, 1, 1, 1, 1, 1, 1, 1, 1, 2), product 2" in out
+
+
 def test_kernel_calculus_demo_runs():
     assert "cut distance to uniform" in _run_demo("kernel_calculus.py")
 

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from cochainlab.groups import (
-    Group,
-    SymmetricDistribution,
-    distribution_from_json,
-    group_from_json,
-)
+from cochainlab.groups import Group, SymmetricDistribution
+from cochainlab.serialize import distribution_from_json, group_from_json
 
 
 def test_group_order_and_elements():

@@ -53,14 +53,14 @@ def _vertex_edge_incidence(n):
 def test_boundary_squares_to_zero():
     X = full_two_skeleton(6)
     B = boundary_matrices(X)
-    assert (_vertex_edge_incidence(6) @ B.d2 == 0).all()
+    assert (_vertex_edge_incidence(6) @ B == 0).all()
 
 
 def test_boundary_shapes():
     X = full_two_skeleton(5)
     B = boundary_matrices(X)
     assert _vertex_edge_incidence(5).shape == (5, 10)
-    assert B.d2.shape == (10, 10)
+    assert B.shape == (10, 10)
 
 
 def test_boundary_size_checked_before_allocation():
@@ -82,7 +82,7 @@ def test_boundary_size_checked_before_allocation():
 
 def test_face_rows_are_d2_transposed():
     X = sample_one_out(9, np.random.default_rng(8))
-    d2 = boundary_matrices(X).d2
+    d2 = boundary_matrices(X)
     assert _face_rows(X) == _matrix_rows(d2.T)
 
 
@@ -193,7 +193,7 @@ def test_snf_known_2x2():
 
 
 def test_snf_projective_plane():
-    d2 = boundary_matrices(PROJECTIVE_PLANE_6).d2
+    d2 = boundary_matrices(PROJECTIVE_PLANE_6)
     assert smith_normal_form(d2) == (1,) * 9 + (2,)
     assert torsion_order(PROJECTIVE_PLANE_6) == 2
     assert min_generators_h1(PROJECTIVE_PLANE_6) == 1
@@ -300,17 +300,17 @@ def _dense_divisors(M):
 def test_snf_unit_elimination_matches_dense():
     cfg = ExperimentConfig(3)
     cases = [
-        boundary_matrices(sample_one_out(n, cfg.replica_rng("betti", n, rep))).d2
+        boundary_matrices(sample_one_out(n, cfg.replica_rng("betti", n, rep)))
         for n in (14, 18, 20)
         for rep in range(3)
     ]
     cases += [
-        boundary_matrices(sample_hypertree(n, np.random.default_rng([n, rep]))).d2
+        boundary_matrices(sample_hypertree(n, np.random.default_rng([n, rep])))
         for n in (6, 7, 8)
         for rep in range(2)
     ]
-    cases.append(boundary_matrices(PROJECTIVE_PLANE_6).d2)
-    cases += [boundary_matrices(full_two_skeleton(n)).d2 for n in range(4, 8)]
+    cases.append(boundary_matrices(PROJECTIVE_PLANE_6))
+    cases += [boundary_matrices(full_two_skeleton(n)) for n in range(4, 8)]
     cases.append(np.array([[2**40, 1], [1, 2**40]], dtype=object))
     cores = 0
     for M in cases:
@@ -318,7 +318,7 @@ def test_snf_unit_elimination_matches_dense():
         cores += bool(_eliminate(_matrix_rows(M))[1])
     assert cores >= 1
     # the projective plane's core is where its torsion lives
-    units, core = _eliminate(_matrix_rows(boundary_matrices(PROJECTIVE_PLANE_6).d2))
+    units, core = _eliminate(_matrix_rows(boundary_matrices(PROJECTIVE_PLANE_6)))
     assert units == 9 and _dense_smith(core) == (2,)
 
 
@@ -375,7 +375,7 @@ def _complexes(draw):
 
 @given(_complexes())
 def test_face_rows_match_dense_boundary(X):
-    d2 = boundary_matrices(X).d2
+    d2 = boundary_matrices(X)
     E = d2.shape[0]
     for p in (2, 3, 5, 7):
         rank = _rank_oracle_mod_p(d2, p)
@@ -403,7 +403,7 @@ def test_face_rows_on_exact_scan_one_out_seeds():
     for n, digits in _ONE_OUT_H1_F2.items():
         for rep, h1_f2 in enumerate(digits):
             X = sample_one_out(n, cfg.replica_rng("betti", n, rep))
-            d2 = boundary_matrices(X).d2
+            d2 = boundary_matrices(X)
             divisors = _dense_divisors(d2)
             torsion = [2] if (n, rep) == (18, 6) else []
             assert [d for d in divisors if d > 1] == torsion
@@ -424,7 +424,7 @@ def test_no_snf_rank_over_q_matches_rational_and_snf():
     cases += [sample_hypertree(n, np.random.default_rng([n, 1])) for n in (5, 6, 7, 8)]
     cases += [sample_one_out(n, cfg.replica_rng("betti", n, 0)) for n in (4, 6, 9, 12, 14)]
     for X in cases:
-        rank = rank_rational(boundary_matrices(X).d2)
+        rank = rank_rational(boundary_matrices(X))
         full = homology_report(X)
         quick = homology_report(X, include_snf=False)
         assert len(full.elementary_divisors) == rank

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cochainlab.cochains import random_cochain
+from cochainlab.cochains import Cochain, random_cochain
 from cochainlab.groups import SymmetricDistribution
-from cochainlab.complexes import TwoComplex, sample_one_out
+from cochainlab.complexes import TwoComplex, all_triangles, sample_one_out
 from cochainlab.graphons import StepKernel, mirror_canonical, random_kernel, random_w00
 from cochainlab.groups import Group
 from cochainlab.serialize import (
@@ -72,6 +72,34 @@ def test_cochain_rejects_non_integer_fields(field, value):
 def test_cochain_rejects_missing_keys():
     with pytest.raises(ValueError, match="needs n, group, edges"):
         cochain_from_json_dict({"n": 4})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda d: d.update(edges=None), "edges must be a JSON array, got None", id="edges-null"),
+        pytest.param(
+            lambda d: d["edges"].__setitem__(0, [1, 2, [0]]), "each edge must be an object with u, v and g",
+            id="edge-as-list",
+        ),
+        pytest.param(lambda d: d["edges"][0].update(g=None), "g must be a JSON array of integers, got None", id="g-null"),
+        pytest.param(lambda d: d["edges"][0].pop("g"), "each edge must be an object with u, v and g", id="g-missing"),
+        pytest.param(lambda d: d["edges"][0].update(g=[1.0]), "each g entry must be an integer, got 1.0", id="g-float"),
+        pytest.param(lambda d: d.update(group=[2.5]), "each group entry must be an integer, got 2.5", id="group-float"),
+    ],
+)
+def test_cochain_rejects_malformed_edges(edit, message):
+    f = random_cochain(4, SymmetricDistribution.uniform(Group((2,))), np.random.default_rng(55))
+    d = cochain_to_json_dict(f)
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        cochain_from_json_dict(d)
+
+
+def test_cochain_huge_n_is_missing_edges_not_built():
+    d = {"n": 10**9, "group": [2], "edges": [{"u": 1, "v": 2, "g": [1]}]}
+    with pytest.raises(ValueError, match=r"missing edges, first: \(1, 3\)"):
+        cochain_from_json_dict(d)
 
 
 def test_kernel_roundtrip_float():
@@ -260,6 +288,12 @@ def test_complex_rejects_missing_keys():
         complex_from_json_dict({"n": 5})
 
 
+@pytest.mark.parametrize("triangles", [{}, [[1, 2, 3, 4]], [[1, 2]], ["123"], [{"u": 1, "v": 2, "w": 3}]])
+def test_complex_rejects_triangles_that_are_not_triples(triangles):
+    with pytest.raises(ValueError, match=r"triangles must be a JSON array of \[u, v, w\] vertex triples"):
+        complex_from_json_dict({"n": 5, "triangles": triangles})
+
+
 def test_dump_load_file_roundtrip(tmp_path):
     X = TwoComplex(5, [(1, 2, 3), (2, 3, 4)])
     p = tmp_path / "x.json"
@@ -277,3 +311,80 @@ def test_dumps_deterministic():
     a = dumps_json(kernel_to_json_dict(W))
     b = dumps_json(kernel_to_json_dict(W))
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# property tests for the cochain and complex formats
+
+@st.composite
+def _cochains(draw):
+    group = draw(_GROUPS)
+    n = draw(st.integers(2, 7))
+    m = n * (n - 1) // 2
+    return Cochain(group, n, draw(st.lists(st.integers(0, group.order - 1), min_size=m, max_size=m)))
+
+
+@st.composite
+def _complexes(draw, min_faces=0):
+    n = draw(st.integers(3, 8))
+    tris = draw(st.lists(st.sampled_from(all_triangles(n)), min_size=min_faces, max_size=12, unique=True))
+    return TwoComplex(n, tris)
+
+
+# Wrong in every position of either format: no field takes any of these.
+_BAD_JSON = st.sampled_from([None, True, False, 1.5, "x", "1", {}, [None], [1.5], ["1"]])
+
+
+def _edit(doc, path, value):
+    """Sets the entry of the nested doc at path to value."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+@given(_cochains(), st.randoms(use_true_random=False))
+def test_cochain_roundtrip_property(f, shuffle):
+    doc = json.loads(dumps_json(cochain_to_json_dict(f)))
+    shuffle.shuffle(doc["edges"])  # edges may come in any order
+    back = cochain_from_json_dict(doc)
+    assert back.group == f.group and back.n == f.n
+    assert back.labels.tolist() == f.labels.tolist()
+
+
+@given(_cochains(), st.data())
+def test_cochain_rejects_bad_field_anywhere(f, data):
+    """A wrong value or a missing key at any field is a ValueError."""
+    doc = cochain_to_json_dict(f)
+    i = data.draw(st.integers(0, len(doc["edges"]) - 1))
+    path = data.draw(
+        st.sampled_from(
+            [("n",), ("group",), ("group", 0), ("edges",), ("edges", i),
+             ("edges", i, "u"), ("edges", i, "v"), ("edges", i, "g"), ("edges", i, "g", 0)]
+        )
+    )
+    if len(path) in (1, 3) and data.draw(st.booleans()):
+        target = doc if len(path) == 1 else doc["edges"][i]
+        del target[path[-1]]
+    else:
+        _edit(doc, path, data.draw(_BAD_JSON))
+    with pytest.raises(ValueError):
+        cochain_from_json_dict(doc)
+
+
+@given(_complexes())
+def test_complex_roundtrip_property(X):
+    assert complex_from_json_dict(json.loads(dumps_json(complex_to_json_dict(X)))) == X
+
+
+@given(_complexes(min_faces=1), st.data())
+def test_complex_rejects_bad_field_anywhere(X, data):
+    doc = complex_to_json_dict(X)
+    i = data.draw(st.integers(0, X.num_faces - 1))
+    path = data.draw(st.sampled_from([("n",), ("triangles",), ("triangles", i), ("triangles", i, 1)]))
+    if len(path) == 1 and data.draw(st.booleans()):
+        del doc[path[0]]
+    else:
+        _edit(doc, path, data.draw(_BAD_JSON))
+    with pytest.raises(ValueError):
+        complex_from_json_dict(doc)
