@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cochains import edge_index, edge_list
-from .homology import MAX_BOUNDARY_EDGES, bareiss_det, boundary_matrices, smith_normal_form
+from .homology import MAX_BOUNDARY_EDGES, _face_rows, _smith_rows, bareiss_det, boundary_matrices
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def enumerate_hypertrees(n: int):
     Candidates are C(n,3)-choose-C(n-1,2) face sets, filtered by the
     determinant of the reduced boundary square: nonzero iff the face set is
     a hypertree. Torsion orders come from Smith normal form of the full
-    boundary matrix, cross-checked against |det|.
+    boundary matrix, taken from the face rows, cross-checked against |det|.
     """
     if n < 3 or n > 6:
         raise ValueError("enumeration supported for 3 <= n <= 6 only")
@@ -345,7 +345,7 @@ def enumerate_hypertrees(n: int):
                 raise ArithmeticError("float determinant too ambiguous to round")
             faces = [tris[i] for i in row]
             X = TwoComplex(n, faces)
-            divisors = smith_normal_form(boundary_matrices(X))
+            divisors = _smith_rows(_face_rows(X))
             torsion = math.prod(divisors)
             if len(divisors) != r or torsion != order:
                 raise ArithmeticError(

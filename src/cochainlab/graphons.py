@@ -13,6 +13,8 @@ Fractions too).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +280,64 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _scan_masks(low, low_tot, neg_high, high_tot, masks: range):
+    """The scan of max_box_exact over the high masks in ``masks``: the first
+    maximum in increasing mask order, as (value, mask, sign), or
+    (0.0, 0, 1.0) when no box sum beats zero.
+
+    For S = (high mask h, low mask i), column j sums L_j + H_j, and the best
+    positive box sums max(L_j + H_j, 0) = max(L_j, -H_j) + H_j over j. So
+    each high mask costs one maximum into one reused buffer, one column sum
+    and the scalar high_tot[h].
+    """
+    lo = low.shape[1].bit_length() - 1
+    cols = np.empty_like(low)
+    best, best_mask, best_sign = 0.0, 0, 1.0
+    for h in masks:
+        over = np.maximum(low, neg_high[:, h, None], out=cols).sum(axis=0)
+        pos = over + high_tot[h]
+        negabs = pos - (low_tot + high_tot[h])
+        cand = np.maximum(pos, negabs)
+        i = int(np.argmax(cand))
+        if cand[i] > best:
+            best = float(cand[i])
+            best_mask = (h << lo) | i
+            best_sign = 1.0 if pos[i] >= negabs[i] else -1.0
+    return best, best_mask, best_sign
+
+
+def _scan_workers() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mask_blocks(n_high: int) -> list[range]:
+    """The high masks as contiguous blocks in increasing order: one per CPU
+    (never more than masks) from 4 masks up, else one block."""
+    parts = min(_scan_workers(), n_high) if n_high >= 4 else 1
+    return [range(n_high * b // parts, n_high * (b + 1) // parts) for b in range(parts)]
+
+
+_POOL = None  # (pid, threads for the block split), made by the first split scan
+_POOL_LOCK = threading.Lock()
+
+
+def _scan_pool():
+    """The thread pool the blocks of a split scan run on; numpy releases the
+    GIL inside the scan's ufuncs. Made on first use, so importing this
+    module starts no thread and does not import concurrent.futures, and
+    again in a forked child, which inherits the pool but not its threads."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = (os.getpid(), ThreadPoolExecutor(_scan_workers(), thread_name_prefix="max_box"))
+        return _POOL[1]
+
+
 def max_box_exact(A: np.ndarray):
     """max over S, T subseteq rows/cols of |sum_{i in S, j in T} A[i, j]|,
     returned as (value, S, T, signed box sum), as max_box_heuristic does.
@@ -286,14 +346,18 @@ def max_box_exact(A: np.ndarray):
     measure-weighted matrix, so this is the cut norm contribution of one
     slice. Meet in the middle: the column sums of every subset of the low
     rows and of the high rows are tabulated once, so each mask costs m
-    additions. For a fixed S the best positive box sums the positive column
-    sums, and the best negative one is that less the total of S. Masks are
-    scanned in increasing order; the first maximum wins. The value returned
-    is the witness box's sum in exact rounding (math.fsum), so it depends on
-    (S, T) alone, not on the order in which the scan added. On an exactly
-    symmetric A the boxes (S, T) and (T, S) tie exactly, and the witness is
-    the lexicographically smaller of the two, not whichever mask rounded
-    larger.
+    maxima and m additions. For a fixed S the best positive box sums the
+    positive column sums, and the best negative one is that less the total
+    of S. Masks are scanned in increasing order; the first maximum wins.
+    From 4 high masks (k >= 15) up, the high masks are split into one
+    contiguous block per CPU, scanned on threads; the blocks' results are
+    taken in block order with a strict comparison, so a tie still goes to
+    the smallest mask and the witness does not depend on the CPU count.
+    The value returned is the witness box's sum in exact rounding
+    (math.fsum), so it depends on (S, T) alone, not on the order in which
+    the scan added. On an exactly symmetric A the boxes (S, T) and (T, S)
+    tie exactly, and the witness is the lexicographically smaller of the
+    two, not whichever mask rounded larger.
     """
     k, m = A.shape
     if k > EXACT_CUT_LIMIT:
@@ -304,21 +368,14 @@ def max_box_exact(A: np.ndarray):
     lo = min(k, _TABLE_ROWS)
     low = _subset_sums(A[:lo])  # (m, 2^lo)
     high = _subset_sums(A[lo:])  # (m, 2^(k - lo))
-    low_tot = low.sum(axis=0)
-    high_tot = high.sum(axis=0)
-    best = 0.0
-    best_mask = 0
-    best_sign = 1.0
-    for h in range(high.shape[1]):
-        cols = low + high[:, h, None]  # column sums over S, one mask per column
-        pos = np.maximum(cols, 0.0, out=cols).sum(axis=0)
-        negabs = pos - (low_tot + high_tot[h])
-        cand = np.maximum(pos, negabs)
-        i = int(np.argmax(cand))
-        if cand[i] > best:
-            best = float(cand[i])
-            best_mask = (h << lo) | i
-            best_sign = 1.0 if pos[i] >= negabs[i] else -1.0
+    tables = (low, low.sum(axis=0), -high, high.sum(axis=0))
+    blocks = _mask_blocks(high.shape[1])
+    run = map if len(blocks) == 1 else _scan_pool().map  # threads only for a split
+    results = run(lambda masks: _scan_masks(*tables, masks), blocks)
+    best, best_mask, best_sign = 0.0, 0, 1.0
+    for value, mask, sign in results:  # block order; an earlier block wins a tie
+        if value > best:
+            best, best_mask, best_sign = value, mask, sign
     S = [i for i in range(k) if (best_mask >> i) & 1]
     colsum = A[S].sum(axis=0)
     T = [j for j in range(m) if best_sign * colsum[j] > 0]

@@ -91,7 +91,15 @@ def distribution_from_json(data) -> SymmetricDistribution:
     vals = {}
     for label, p in probs.items():
         try:
-            vals[label] = _num_from_json(p, exact=False)
+            g = group.parse_label(label)
+        except ValueError:
+            example = "|".join(str(m - 1) for m in group.moduli)
+            raise ValueError(
+                f"probs label {label!r} is not a group element of {group}; "
+                f"a label lists its residues joined by '|', such as {example!r}"
+            ) from None
+        try:
+            vals[g] = _num_from_json(p, exact=False)
         except ValueError as exc:
             raise ValueError(f"probs[{label!r}]: {exc}") from None
     return SymmetricDistribution(group, vals)
@@ -122,6 +130,11 @@ def cochain_from_json_dict(data: dict) -> Cochain:
         raise ValueError(f"edges must be a JSON array, got {edges!r}")
     if n < 2:
         raise ValueError(f"cochain JSON needs n >= 2, got {n}")
+    if group.order - 1 > np.iinfo(np.intp).max:  # labels are stored as intp element indices
+        raise ValueError(
+            f"group order {group.order} is too large: element indices must fit "
+            f"a {np.iinfo(np.intp).bits}-bit integer"
+        )
     labels = {}
     for item in edges:
         if not isinstance(item, dict) or not {"u", "v", "g"} <= item.keys():

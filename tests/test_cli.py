@@ -376,6 +376,8 @@ def test_graphon_rejects_non_integer_modulus(kernel_file, tmp_path, capsys, grou
         ({"0": [1], "1": 0.5}, "probs['0']: number [1] is not a JSON number or fraction string"),
         ({"0": True, "1": 0}, "probs['0']: number True is not a JSON number or fraction string"),
         ({"0": 0.5}, "probs must give all 2 group elements, got 1"),
+        ({"0": 0.5, "1.5": 0.5}, "probs label '1.5' is not a group element of Z/2"),
+        ({"0": 0.5, "2": 0.5}, "probs label '2' is not a group element of Z/2"),
     ],
 )
 def test_graphon_rate_rejects_malformed_nu(kernel_file, tmp_path, capsys, probs, message):

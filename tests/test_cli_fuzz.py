@@ -1,10 +1,12 @@
 """Derandomized fuzz of the command line: bad argument shapes and small
-malformed JSON files for homology, sample and the graphon subcommands.
+malformed JSON files for homology, sample, the graphon subcommands and the
+scans ez1-trend, betti-trend and layer-audit.
 
 Every run must end in exit 0, 1 or 2 with no traceback: ``main`` turns the
 errors it expects into exit 2, so any other exception escapes the call and
-fails the test. Sizes stay small (n <= 12 where n is valid); certify is left
-out because it runs a fixed suite, not input.
+fails the test. Sizes stay small (n <= 12 where n is valid; the scans run
+n <= 8 with at most 3 samples); certify is left out because it runs a fixed
+suite, not input.
 """
 import contextlib
 import copy
@@ -71,20 +73,42 @@ def json_files(draw, kind, broken):
 # Each option: (valid values, bad values), or the format of the file it reads,
 # or None for a switch.
 BAD = ["x", "", "-1", "1e3"]
+MODEL = {
+    "--model": (["one-out", "lm", "hypertree"], ["bad"]),
+    "--c": (["2", "0.5"], ["nan", "inf", "1e308", "0"] + BAD),
+}
+N_LISTS = (["3", "5,8", "6:8:2"], ["2", "0", "4,1", "3:8:0", "2.5"] + BAD)
+SAMPLES = (["1", "3"], ["0", "-1", "2.5"] + BAD)
+GROUP = (["2", "3", "2,2"], ["1", "0", "-2", "2,1", "2,,3", "2.5"] + BAD)
 OPTIONS = {
     "homology": {"--in": "complex", "--p": (["2", "3", "1000003"], ["4", "1", "0"] + BAD), "--no-snf": None},
-    "sample": {
-        "--n": (["3", "5", "8"], ["2", "31", "100000", "0"] + BAD),
-        "--model": (["one-out", "lm", "hypertree"], ["bad"]),
-        "--c": (["2", "0.5"], ["nan", "inf", "1e308", "0"] + BAD),
-    },
+    "sample": {"--n": (["3", "5", "8"], ["2", "31", "100000", "0"] + BAD), **MODEL},
     "cutnorm": {"--in": "kernel"},
     "b": {"--in": "kernel"},
     "rate": {"--in": "kernel", "--nu": "nu"},
     "convolve": {"--in": "kernel", "--with": "kernel", "--exact": None},
     "fk": {"--in": "kernel", "--eps": (["0.2", "0.5"], ["0", "nan", "inf", "1e-300"] + BAD)},
+    "ez1-trend": {"--n": N_LISTS, "--samples": SAMPLES, "--group": GROUP, **MODEL},
+    "betti-trend": {
+        "--n": N_LISTS,
+        "--samples": SAMPLES,
+        "--primes": (["2", "3", "2,3", "1000003"], ["4", "1", "0", "-3"] + BAD),
+        "--include-mg": None,
+        **MODEL,
+    },
+    "layer-audit": {
+        "--n": (["3", "5", "8"], ["2", "0", "-1"] + BAD),
+        "--samples": SAMPLES,
+        "--group": GROUP,
+        "--layers": (["1", "3", "10"], ["0", "-1"] + BAD),
+    },
 }
+SCANS = {"ez1-trend", "betti-trend", "layer-audit"}
 REQUIRED = {"--in", "--n", "--eps"}
+# The scans' defaults (n up to 10, 100 or more samples) are past the fuzz's
+# sizes, so their sizes are always given, and so is --seed: it follows them,
+# and an "argv" fault that drops the last option never reaches them.
+SCAN_REQUIRED = REQUIRED | {"--samples", "--seed"}
 COMMON = {
     "--seed": (["7", str(2**70), "-1"], BAD),
     "--format": (["csv", "json"], ["xml"]),
@@ -100,10 +124,11 @@ def test_cli_exits_cleanly_on_any_input(tmp_path, command, data):
     option value, a bad file, an extra token or a missing required option."""
     options = {**OPTIONS[command], **COMMON}
     fault = data.draw(st.sampled_from(["argv", *(f for f, v in options.items() if v is not None)]))
-    argv = [command] if command in ("homology", "sample") else ["graphon", command]
+    argv = [command] if command in {"homology", "sample", *SCANS} else ["graphon", command]
+    required = SCAN_REQUIRED if command in SCANS else REQUIRED
     for flag, values in options.items():
         broken = flag == fault
-        if not (broken or flag in REQUIRED or data.draw(st.booleans())):
+        if not (broken or flag in required or data.draw(st.booleans())):
             continue
         if values is None:
             argv.append(flag)

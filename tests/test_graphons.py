@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
+import signal
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cochainlab import graphons
 from cochainlab.cli import main
 from cochainlab.cochains import embed_graphon, path_counts, random_cochain
 from cochainlab.graphons import (
@@ -247,6 +252,76 @@ def test_max_box_symmetric_tie_takes_smaller_witness():
         assert math.fsum(A[np.ix_(T, S)].flat) == signed
         swapped += (ref_S, ref_T) > (ref_T, ref_S)
     assert swapped  # some reference witnesses come out in the larger order
+
+
+def _max_box_on_cpus(A, cpus):
+    """max_box_exact as it runs on ``cpus`` CPUs: one block of high masks per
+    CPU from four masks up, one block over all of them on one CPU."""
+    with mock.patch.object(graphons, "_scan_workers", lambda: cpus):
+        return max_box_exact(A)
+
+
+@settings(max_examples=40)
+@given(
+    k=st.integers(13, 20),
+    shape=st.sampled_from(["square", "symmetric", "rectangular"]),
+    m=st.integers(1, 24),
+    halves=st.booleans(),
+    zero_row=st.integers(0, 30),
+    cpus=st.integers(2, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_box_split_scan_matches_single_block(k, shape, m, halves, zero_row, cpus, seed):
+    """Splitting the high masks into blocks, whichever the CPU count, keeps
+    the single scan's witness; half-integer entries make exact ties, also
+    between blocks."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((k, m if shape == "rectangular" else k)) - 0.5
+    if halves:
+        A = np.round(4 * A) / 2
+    if shape == "symmetric":
+        A = A + A.T
+    if zero_row < k:
+        A[zero_row] = 0.0
+        if shape == "symmetric":
+            A[:, zero_row] = 0.0
+    assert repr(_max_box_on_cpus(A, cpus)) == repr(_max_box_on_cpus(A, 1))
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_max_box_tie_across_blocks_takes_earlier_block(cpus):
+    """Rows 13 and 14 give equal boxes from high masks 1 and 2, which sit in
+    different blocks; the earlier block's mask, S = {13}, wins."""
+    A = np.zeros((15, 2))
+    A[13] = [1.0, -1.0]
+    A[14] = [-1.0, 1.0]
+    with mock.patch.object(graphons, "_scan_workers", lambda: cpus):
+        blocks = graphons._mask_blocks(4)
+    assert next(b for b in blocks if 1 in b) != next(b for b in blocks if 2 in b)
+    assert _max_box_on_cpus(A, cpus) == (1.0, [13], [0], 1.0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_max_box_split_scan_runs_in_forked_child():
+    """A child forked after a split scan inherits the thread pool without
+    its threads; its own split scans must still finish."""
+    A = np.random.default_rng(41).random((15, 15)) - 0.5
+    expected = _max_box_on_cpus(A, 2)
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        code = 1
+        try:
+            signal.alarm(20)  # a hung child ends itself
+            code = 0 if _max_box_on_cpus(A, 2) == expected else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while not (status := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not status[0]:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] and os.waitstatus_to_exitcode(status[1]) == 0
 
 
 # --------------------------------------------------------------------------

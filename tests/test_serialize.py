@@ -86,6 +86,10 @@ def test_cochain_rejects_missing_keys():
         pytest.param(lambda d: d["edges"][0].pop("g"), "each edge must be an object with u, v and g", id="g-missing"),
         pytest.param(lambda d: d["edges"][0].update(g=[1.0]), "each g entry must be an integer, got 1.0", id="g-float"),
         pytest.param(lambda d: d.update(group=[2.5]), "each group entry must be an integer, got 2.5", id="group-float"),
+        pytest.param(
+            lambda d: d.update(n=2, group=[2**40, 2**40], edges=[{"u": 1, "v": 2, "g": [2**39, 2**39]}]),
+            f"group order {2**80} is too large", id="group-order-past-intp",
+        ),
     ],
 )
 def test_cochain_rejects_malformed_edges(edit, message):
