@@ -10,18 +10,30 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cochains import edge_index, edge_list
-from .homology import MAX_BOUNDARY_EDGES, _face_rows, _smith_rows, bareiss_det, boundary_matrices
+from .homology import (
+    MAX_BOUNDARY_EDGES,
+    _divisors,
+    _eliminate,
+    _face_rows,
+    bareiss_det,
+    boundary_matrices,
+)
 
 
 @dataclass(frozen=True)
 class TwoComplex:
     """Face set over the complete graph on [n]; triangles are sorted triples
-    of 1-based vertices, stored sorted and deduplicated."""
+    of 1-based vertices, stored sorted and deduplicated.
+
+    The integer reduction of d2 and its elementary divisors are computed on
+    first use and kept on the instance, so every homology question asked of
+    one complex shares one elimination, and the cache goes with the complex.
+    """
 
     n: int
     triangles: tuple[tuple[int, int, int], ...]
@@ -40,6 +52,27 @@ class TwoComplex:
             norm.add(t)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "triangles", tuple(sorted(norm)))
+
+    @classmethod
+    def _from_sorted(cls, n: int, triangles) -> TwoComplex:
+        """The samplers' constructor: triangles are sorted triples in range,
+        so the checks are skipped; duplicates still collapse."""
+        X = object.__new__(cls)
+        object.__setattr__(X, "n", int(n))
+        object.__setattr__(X, "triangles", tuple(sorted(set(triangles))))
+        return X
+
+    @cached_property
+    def reduction(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(units, core): the unit-pivot elimination of the face rows of d2^T
+        (homology._eliminate). rank_p(d2) = units + rank_p(core) for every
+        prime p."""
+        return _eliminate(_face_rows(self))
+
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        """Nonzero elementary divisors of d2, from the reduction."""
+        return _divisors(*self.reduction)
 
     @property
     def num_faces(self) -> int:
@@ -138,14 +171,15 @@ def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
     uniformly from the remaining n - 2; duplicates collapse."""
     check_one_out_n(n)
     faces = []
-    for u, v in edge_list(n):
-        w = int(rng.integers(0, n - 2))
-        # skip over u and v in the order they appear
-        for x in sorted((u, v)):
-            if w + 1 >= x:
-                w += 1
-        faces.append((u, v, w + 1))
-    return TwoComplex(n, faces)
+    for u, v in edge_list(n):  # u < v
+        w = int(rng.integers(0, n - 2)) + 1
+        # skip over u, then v
+        if w >= u:
+            w += 1
+        if w >= v:
+            w += 1
+        faces.append((w, u, v) if w < u else (u, w, v) if w < v else (u, v, w))
+    return TwoComplex._from_sorted(n, faces)
 
 
 def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoComplex:
@@ -153,7 +187,7 @@ def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoCom
     check_lm_n(n, c)
     tris = all_triangles(n)
     keep = rng.random(len(tris)) < c / n
-    return TwoComplex(n, [t for t, k in zip(tris, keep) if k])
+    return TwoComplex._from_sorted(n, [t for t, k in zip(tris, keep) if k])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +273,7 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")
-    return TwoComplex(kern.n, tris)
+    return TwoComplex._from_sorted(kern.n, tris)
 
 
 def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
@@ -343,9 +377,8 @@ def enumerate_hypertrees(n: int):
             order = round(ad)
             if abs(ad - order) > 0.01:
                 raise ArithmeticError("float determinant too ambiguous to round")
-            faces = [tris[i] for i in row]
-            X = TwoComplex(n, faces)
-            divisors = _smith_rows(_face_rows(X))
+            X = TwoComplex._from_sorted(n, [tris[i] for i in row])
+            divisors = _divisors(*_eliminate(_face_rows(X)))  # not cached on X
             torsion = math.prod(divisors)
             if len(divisors) != r or torsion != order:
                 raise ArithmeticError(

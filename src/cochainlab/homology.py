@@ -3,13 +3,16 @@ cocycle counts for arbitrary finite abelian coefficients.
 
 Everything here is exact. Matrices are held as sparse rows of Python ints;
 the homology of a complex reads its face list directly, one row of d2^T per
-face, and never builds the dense boundary. One GF(p) elimination serves every
-rank: XOR of bit-mask rows for p = 2, dict rows of residues for odd primes,
-each pivoting on a row's largest column. The SNF first eliminates +-1 pivots
-sparsely (a face row has three +-1 entries, so nearly every pivot is a unit)
-and runs the dense min-abs loop on arbitrary-precision integers only on the
-small core that is left. Complexes are duck-typed (anything with .n and
-.triangles).
+face, and never builds the dense boundary. The functions that take a complex
+require a TwoComplex, which reduces itself once: its ``reduction`` (cached on
+the instance) eliminates the +-1 pivots sparsely (a face row has three +-1
+entries, so nearly every pivot is a unit) and keeps the small core that is
+left. Every step is unimodular, so rank_p(d2) = units + rank_p(core) for
+every prime p, and the elementary divisors are (1,) * units + SNF(core), with
+the dense min-abs loop on arbitrary-precision integers run on the core only.
+Odd-p ranks, cocycle counts, torsion and generator counts all read that one
+reduction, and a rank never runs the SNF. An F_2 rank is always the cheaper
+XOR elimination of bit-mask face rows.
 """
 from __future__ import annotations
 
@@ -123,8 +126,14 @@ def _matrix_rows(M) -> list[dict[int, int]]:
 # ---------------------------------------------------------------------------
 # ranks
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def _rank_rows(rows, p: int) -> int:
-    """Exact rank over F_p of sparse integer rows (not modified).
+    """Exact rank over the prime field F_p of sparse integer rows (not
+    modified).
 
     Each row is reduced against the pivot rows found so far, always at its
     largest column, until it is zero or its largest column is new and it
@@ -132,8 +141,6 @@ def _rank_rows(rows, p: int) -> int:
     reduction is XOR; for odd p it is a dict of residues and pivot rows are
     scaled to a leading 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if p == 2:
         masks: dict[int, int] = {}
         for row in rows:
@@ -172,6 +179,7 @@ def _rank_rows(rows, p: int) -> int:
 
 def rank_mod_p(M, p: int) -> int:
     """Exact rank of an integer matrix over F_p."""
+    _check_prime(p)
     return _rank_rows(_matrix_rows(M), p)
 
 
@@ -230,17 +238,20 @@ def bareiss_det(M) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
+def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Sparse exact elimination of unit pivots: (units, core).
 
     ``rows`` holds the nonzeros of each matrix row and is consumed.
     Repeatedly takes a +-1 pivot (among live columns holding a unit, the one
-    with the fewest nonzeros; within it, the row with the fewest nonzeros)
-    and clears its column by row operations. Each step is unimodular and the
-    pivot row is then cleared by column operations that touch nothing else,
-    so SNF(M) = (1,) * units + SNF(core). The core keeps only the rows and
-    columns that are still nonzero, columns in increasing order.
+    with the fewest nonzeros; within it, the row with the fewest nonzeros,
+    then the lowest index) and clears its column by row operations. Each step
+    is unimodular and the pivot row is then cleared by column operations that
+    touch nothing else, so SNF(M) = (1,) * units + SNF(core) and rank_p(M) =
+    units + rank_p(core) for every prime p. The core keeps only the rows and
+    columns that are still nonzero, columns in increasing order, as a tuple
+    of row tuples.
     """
+    heappop, heappush = heapq.heappop, heapq.heappush
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -249,47 +260,59 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, list[list[int]]]:
     heapq.heapify(heap)
     units = 0
     while heap:
-        count, c = heapq.heappop(heap)
-        if count != len(cols[c]):
+        count, c = heappop(heap)
+        col = cols[c]
+        if count != len(col):
             continue  # stale entry; the live count was pushed when it changed
-        unit_rows = [i for i in cols[c] if rows[i][c] in (1, -1)]
-        if not unit_rows:
+        r, best = -1, 0
+        for i in col:
+            row = rows[i]
+            if row[c] in (1, -1):
+                size = len(row)
+                if r < 0 or size < best or (size == best and i < r):
+                    r, best = i, size
+        if r < 0:
             continue  # pushed again if a later step changes this column
-        r = min(unit_rows, key=lambda i: (len(rows[i]), i))
         prow = rows[r]
-        a = prow[c]
-        for i in list(cols[c]):
+        rows[r] = {}
+        a = prow.pop(c)
+        others = prow.items()
+        for i in col:
             if i == r:
                 continue
             row = rows[i]
-            f = row[c] * a  # a * a = 1, so row[c] - f * a = 0
-            for j, v in prow.items():
-                x = row.get(j, 0) - f * v
-                if x:
-                    row[j] = x
+            f = row.pop(c) * a  # a * a = 1, so row[c] - f * a = 0
+            for j, v in others:
+                fv = f * v
+                x = row.get(j)
+                if x is None:
+                    row[j] = -fv
                     cols[j].add(i)
-                else:
+                elif x == fv:
                     del row[j]
                     cols[j].discard(i)
-        for j in prow:
-            cols[j].discard(r)
-        rows[r] = {}
+                else:
+                    row[j] = x - fv
+        col.clear()
         units += 1
         for j in prow:
-            if j != c and cols[j]:
-                heapq.heappush(heap, (len(cols[j]), j))
+            rs = cols[j]
+            rs.discard(r)
+            if rs:
+                heappush(heap, (len(rs), j))
     live = sorted(j for j, rs in cols.items() if rs)
-    core = [[row.get(j, 0) for j in live] for row in rows if row]
+    core = tuple(tuple(row.get(j, 0) for j in live) for row in rows if row)
     return units, core
 
 
-def _dense_smith(A: list[list[int]]) -> tuple[int, ...]:
-    """Nonzero elementary divisors of a dense integer matrix, given as a list
-    of rows of Python ints (modified in place).
+def _dense_smith(rows) -> tuple[int, ...]:
+    """Nonzero elementary divisors of a dense integer matrix, given as a
+    sequence of rows of Python ints (not modified: the loop works on a copy).
 
     Min-abs pivoting, full row/column reduction, divisibility fix-up by row
     absorption.
     """
+    A = [list(row) for row in rows]
     m = len(A)
     ncols = len(A[0]) if m else 0
     divisors: list[int] = []
@@ -375,10 +398,9 @@ def _dense_smith(A: list[list[int]]) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-def _smith_rows(rows: list[dict[int, int]]) -> tuple[int, ...]:
-    """Nonzero elementary divisors of the matrix with these sparse rows
-    (consumed): unit pivots sparsely, then the dense loop on the core."""
-    units, core = _eliminate(rows)
+def _divisors(units: int, core) -> tuple[int, ...]:
+    """Nonzero elementary divisors from a unit-pivot reduction (_eliminate):
+    (1,) * units + SNF(core)."""
     return (1,) * units + _dense_smith(core)
 
 
@@ -390,7 +412,7 @@ def smith_normal_form(M) -> tuple[int, ...]:
     throughout; the divisor count equals the rank and their product is the
     lattice index (|det| for nonsingular square input).
     """
-    return _smith_rows(_matrix_rows(M))
+    return _divisors(*_eliminate(_matrix_rows(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,33 +422,54 @@ def cycle_space_dim(n: int) -> int:
     return n * (n - 1) // 2 - (n - 1)
 
 
+def _complex(X):
+    """X itself, checked to be a TwoComplex: the reduction every invariant
+    reads is cached on the instance."""
+    from .complexes import TwoComplex  # complexes imports this module
+
+    if not isinstance(X, TwoComplex):
+        raise TypeError(f"expected a TwoComplex, got {type(X).__name__}")
+    return X
+
+
+def _rank(X, p: int) -> int:
+    """rank_p(d2) of a TwoComplex.
+
+    An odd p reads the reduction: units + rank_p(core). p = 2 always XORs
+    bit-mask face rows instead, which costs about a fifth of a reduction, so
+    a scan over F_2 alone never reduces.
+    """
+    _check_prime(p)
+    if p == 2:
+        return _rank_rows(_face_rows(_complex(X)), 2)
+    units, core = _complex(X).reduction
+    return units + _rank_rows([{j: v for j, v in enumerate(row) if v} for row in core], p)
+
+
 def dim_z1_mod_p(X, p: int) -> int:
-    return X.n * (X.n - 1) // 2 - _rank_rows(_face_rows(X), p)
+    return X.n * (X.n - 1) // 2 - _rank(X, p)
 
 
 def dim_h1_mod_p(X, p: int) -> int:
     """dim H_1(X, F_p) = (C(n,2) - (n-1)) - rank_p(d2); the 1-skeleton is
     complete, so ker d1 has dimension C(n,2) - (n-1) over every field."""
-    return cycle_space_dim(X.n) - _rank_rows(_face_rows(X), p)
+    return cycle_space_dim(X.n) - _rank(X, p)
 
 
 def count_cocycles(X, group) -> int:
     """|Z^1(X, G)| exactly: product over cyclic factors Z/m of
     m^(E - r) * prod_j gcd(m, d_j), the kernel size of d2^T mod m.
 
-    Prime moduli shortcut through a single F_p rank; composite moduli use the
+    A prime modulus needs only the F_p rank; a composite one reads the
     elementary divisors.
     """
-    rows = _face_rows(X)
     E = X.n * (X.n - 1) // 2
     total = 1
-    divisors = None
     for m in group.moduli:
         if is_prime(m):
-            total *= m ** (E - _rank_rows(rows, m))
+            total *= m ** (E - _rank(X, m))
         else:
-            if divisors is None:
-                divisors = _smith_rows(_face_rows(X))
+            divisors = _complex(X).divisors
             cnt = m ** (E - len(divisors))
             for d in divisors:
                 cnt *= math.gcd(m, d)
@@ -445,13 +488,13 @@ def _integral_summary(n: int, divisors) -> tuple[int, int]:
 
 
 def torsion_order(X) -> int:
-    return _integral_summary(X.n, _smith_rows(_face_rows(X)))[0]
+    return math.prod(_complex(X).divisors)
 
 
 def min_generators_h1(X) -> int:
     """Minimum generator count of H_1(X, Z): free rank plus the largest
     p-multiplicity among the torsion divisors; equals sup_p dim H_1(F_p)."""
-    return _integral_summary(X.n, _smith_rows(_face_rows(X)))[1]
+    return _integral_summary(X.n, _complex(X).divisors)[1]
 
 
 def torsion_bound_ok(X) -> bool:
@@ -494,15 +537,15 @@ def homology_report(X, p: int | None = None, include_snf: bool = True) -> Homolo
     include_snf, integral data: divisors, torsion, minimum generators.
 
     Without p or the SNF, the rank over Q is units + rank_Q(core) of the
-    unit-pivot elimination, which is exact because every step is unimodular.
+    complex's reduction, which is exact because every step is unimodular.
     """
-    divisors = _smith_rows(_face_rows(X)) if include_snf else None
+    divisors = _complex(X).divisors if include_snf else None
     if p is not None:
-        rank = _rank_rows(_face_rows(X), p)
+        rank = _rank(X, p)
     elif divisors is not None:
         rank = len(divisors)
     else:
-        units, core = _eliminate(_face_rows(X))
+        units, core = _complex(X).reduction
         rank = units + rank_rational(core)
     tor, mg = (None, None) if divisors is None else _integral_summary(X.n, divisors)
     return HomologyReport(

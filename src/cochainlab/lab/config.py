@@ -7,6 +7,11 @@ from ..groups import Group
 
 MODELS = ("hypertree", "one-out", "lm")
 
+# The layer audit holds one count and writes one table row per layer, so the
+# layer count is bounded before anything is built; 10^4 layers make a CSV of
+# about 0.75 MB, and past the sample count most layers are empty anyway.
+MAX_LAYERS = 10_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -31,6 +36,8 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
+        if self.layers > MAX_LAYERS:
+            raise ValueError(f"layers must be <= MAX_LAYERS = {MAX_LAYERS}; got {self.layers}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
 

@@ -1,12 +1,12 @@
 """Derandomized fuzz of the command line: bad argument shapes and small
-malformed JSON files for homology, sample, the graphon subcommands and the
-scans ez1-trend, betti-trend and layer-audit.
+malformed JSON files for homology, sample, the graphon subcommands, the
+scans ez1-trend, betti-trend and layer-audit, and certify's options.
 
 Every run must end in exit 0, 1 or 2 with no traceback: ``main`` turns the
 errors it expects into exit 2, so any other exception escapes the call and
 fails the test. Sizes stay small (n <= 12 where n is valid; the scans run
-n <= 8 with at most 3 samples); certify is left out because it runs a fixed
-suite, not input.
+n <= 8 with at most 3 samples). certify runs a fixed suite, about 2 s with
+--quick, so it gets a few examples over its common options only.
 """
 import contextlib
 import copy
@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cochainlab.cli import main
 from cochainlab.graphons import random_w00
 from cochainlab.groups import Group
+from cochainlab.lab.config import MAX_LAYERS, ExperimentConfig
 from cochainlab.serialize import kernel_to_json_dict
 
 VALID_DOCS = {
@@ -100,7 +101,7 @@ OPTIONS = {
         "--n": (["3", "5", "8"], ["2", "0", "-1"] + BAD),
         "--samples": SAMPLES,
         "--group": GROUP,
-        "--layers": (["1", "3", "10"], ["0", "-1"] + BAD),
+        "--layers": (["1", "3", "10"], ["0", "-1", "2000000000"] + BAD),
     },
 }
 SCANS = {"ez1-trend", "betti-trend", "layer-audit"}
@@ -145,11 +146,48 @@ def test_cli_exits_cleanly_on_any_input(tmp_path, command, data):
     if fault == "argv":
         junk = data.draw(st.sampled_from(["--bogus", "extra", "--in", "drop"]))
         argv = argv[:-2] if junk == "drop" else argv + [junk]
+    code, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+
+
+def _run(argv):
+    """(exit code, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("out", [None, "out.txt", ".", "no/x"])
+@settings(max_examples=3, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_certify_exits_cleanly_on_any_options(tmp_path, out, data):
+    """certify --quick with a drawn --seed and --format, at most one of them
+    bad, and an --out that is absent, a file, a directory or a path under a
+    missing parent; the last two exit 2 after the suite ran."""
+    fault = data.draw(st.sampled_from([None, "--seed", "--format"]))
+    argv = ["certify", "--quick"]
+    for flag in ("--seed", "--format"):
+        broken = flag == fault
+        if broken or data.draw(st.booleans()):
+            argv += [flag, data.draw(st.sampled_from(COMMON[flag][broken]))]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    code, err = _run(argv)
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if out in COMMON["--out"][1]:
+        assert code == 2 and err.startswith(("error: ", "usage: ")), argv
+
+
+def test_layer_audit_layers_capped_before_allocation():
+    assert ExperimentConfig(seed=0, layers=MAX_LAYERS).layers == MAX_LAYERS
+    with pytest.raises(ValueError, match=f"layers must be <= MAX_LAYERS = {MAX_LAYERS}"):
+        ExperimentConfig(seed=0, layers=MAX_LAYERS + 1)
+    code, err = _run(["layer-audit", "--n", "8", "--samples", "1", "--layers", "2000000000"])
+    assert code == 2
+    assert err == f"error: layers must be <= MAX_LAYERS = {MAX_LAYERS}; got 2000000000\n"

@@ -47,6 +47,29 @@ def test_two_complex_rejects_bad_input():
         TwoComplex(5, [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("model", ["one-out", "lm", "hypertree", "enumerate"])
+def test_samplers_build_what_the_checked_constructor_builds(model):
+    # the samplers and the enumeration skip the public constructor's checks,
+    # so each complex must equal what the checks make of its faces
+    if model == "enumerate":
+        drawn = [X for n in (4, 5) for X, _ in enumerate_hypertrees(n)]
+    else:
+        drawn = []
+        for seed in range(20):
+            n = (3, 4, 5, 9, 14)[seed % 5]
+            rng = np.random.default_rng([seed, 11])
+            if model == "one-out":
+                drawn.append(sample_one_out(n, rng))
+            elif model == "lm":
+                drawn.append(sample_linial_meshulam(n, 2.0, rng))
+            else:
+                drawn.append(sample_hypertree(n, rng))
+    for X in drawn:
+        checked = TwoComplex(X.n, X.triangles)
+        assert X == checked
+        assert X.triangles == checked.triangles and type(X.n) is int
+
+
 def test_all_triangles_count_and_index():
     n = 7
     tris = all_triangles(n)

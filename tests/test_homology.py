@@ -1,5 +1,7 @@
 import itertools
 import math
+from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,21 +9,23 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from cochainlab.cochains import edge_list
+from cochainlab import complexes
 from cochainlab.complexes import (
     TwoComplex,
     all_triangles,
     full_two_skeleton,
     sample_hypertree,
+    sample_linial_meshulam,
     sample_one_out,
 )
 from cochainlab.groups import Group
 from cochainlab.homology import (
     _dense_smith,
+    _divisors,
     _eliminate,
     _face_rows,
     _matrix_rows,
     _rank_rows,
-    _smith_rows,
     bareiss_det,
     boundary_matrices,
     count_cocycles,
@@ -39,6 +43,7 @@ from cochainlab.homology import (
 )
 from cochainlab.lab.certify import PROJECTIVE_PLANE_6
 from cochainlab.lab.config import ExperimentConfig
+from cochainlab.lab.experiments import run_betti_trend
 
 
 def _vertex_edge_incidence(n):
@@ -383,7 +388,7 @@ def test_face_rows_match_dense_boundary(X):
         assert dim_z1_mod_p(X, p) == E - rank
         assert dim_h1_mod_p(X, p) == cycle_space_dim(X.n) - rank
     divisors = _dense_divisors(d2)
-    assert _smith_rows(_face_rows(X)) == divisors
+    assert _divisors(*_eliminate(_face_rows(X))) == divisors
     assert homology_report(X).elementary_divisors == divisors
     assert torsion_order(X) == math.prod(divisors)
 
@@ -431,3 +436,139 @@ def test_no_snf_rank_over_q_matches_rational_and_snf():
         assert quick.dim_z1 == X.n * (X.n - 1) // 2 - rank
         assert quick.dim_h1 == full.dim_h1 == cycle_space_dim(X.n) - rank
         assert quick.elementary_divisors is quick.torsion_order is quick.min_generators is None
+
+
+# ---------------------------------------------------------------------------
+# the per-complex reduction
+
+def _reduction_cases():
+    """Fresh complexes of the three models, with torsion among them: one-out
+    n = 18 rep 6 at seed 3 has Z/2, as do the projective plane and some of
+    the hypertrees."""
+    cfg = ExperimentConfig(3)
+    cases = [TwoComplex(6, PROJECTIVE_PLANE_6.triangles)]
+    cases += [sample_one_out(n, cfg.replica_rng("betti", n, rep)) for n, rep in ((9, 0), (14, 1), (18, 6))]
+    cases += [sample_linial_meshulam(n, 3.0, np.random.default_rng([n, 2])) for n in (7, 10)]
+    cases += [sample_hypertree(n, np.random.default_rng([n, rep])) for n in (7, 9) for rep in range(2)]
+    return cases
+
+
+def test_dim_h1_matches_matrix_rank_before_and_after_the_reduction():
+    # fresh, then with the reduction cached, then with the divisors cached
+    for X in _reduction_cases():
+        d2 = boundary_matrices(X)
+        want = {p: cycle_space_dim(X.n) - rank_mod_p(d2, p) for p in (2, 3, 5, 7)}
+        Y = TwoComplex(X.n, X.triangles)
+        fresh = {p: dim_h1_mod_p(Y, p) for p in want}
+        assert "reduction" in vars(Y) and "divisors" not in vars(Y)  # a rank never runs the SNF
+        reduced = {p: dim_h1_mod_p(Y, p) for p in want}
+        Y.divisors
+        with_divisors = {p: dim_h1_mod_p(Y, p) for p in want}
+        assert fresh == reduced == with_divisors == want, X
+
+
+def test_homology_rejects_an_object_that_is_not_a_two_complex():
+    # one with a __dict__, one without: both have .n and .triangles
+    Faces = namedtuple("Faces", "n triangles")
+    for fake in (SimpleNamespace(n=4, triangles=((1, 2, 3),)), Faces(4, ((1, 2, 3),))):
+        for call in (
+            lambda: dim_h1_mod_p(fake, 2),
+            lambda: dim_h1_mod_p(fake, 3),
+            lambda: dim_z1_mod_p(fake, 5),
+            lambda: count_cocycles(fake, Group((2, 4))),
+            lambda: torsion_order(fake),
+            lambda: min_generators_h1(fake),
+            lambda: torsion_bound_ok(fake),
+            lambda: homology_report(fake, include_snf=False),
+        ):
+            with pytest.raises(TypeError, match="expected a TwoComplex"):
+                call()
+
+
+def _answers(X, order):
+    """The invariants named in ``order``, asked of X in that order."""
+    out = {}
+    for what in order:
+        if what == "mg":
+            out[what] = min_generators_h1(X)
+        elif what == "cocycles":
+            out[what] = count_cocycles(X, Group((2, 4)))
+        else:
+            out[what] = (dim_h1_mod_p(X, what), dim_z1_mod_p(X, what))
+    return out
+
+
+def test_reduction_answers_do_not_depend_on_call_order():
+    items = ["mg", "cocycles", 2, 3, 5]
+    for X in _reduction_cases():
+        want = {what: _answers(TwoComplex(X.n, X.triangles), [what])[what] for what in items}
+        for order in (items, items[::-1], [3, "mg", 2, "cocycles", 5]):
+            assert _answers(TwoComplex(X.n, X.triangles), order) == want, (X, order)
+
+
+def test_cached_core_survives_the_smith_loop():
+    for X in _reduction_cases():
+        units, core = X.reduction
+        rows = [list(row) for row in core]
+        torsion_order(X)
+        homology_report(X, p=3)
+        assert X.reduction == (units, core) and [list(row) for row in core] == rows
+        assert _dense_smith(rows) == X.divisors[units:]
+        assert [list(row) for row in core] == rows  # _dense_smith works on a copy
+        assert X.divisors == smith_normal_form(boundary_matrices(X))
+
+
+def test_count_cocycles_z4_z3_matches_divisor_formula():
+    group = Group((4, 3))
+    torsion = 0
+    for X in _reduction_cases():
+        divisors = smith_normal_form(boundary_matrices(X))
+        E = X.n * (X.n - 1) // 2
+        want = 1
+        for m in (4, 3):
+            want *= m ** (E - len(divisors)) * math.prod(math.gcd(m, d) for d in divisors)
+        assert count_cocycles(TwoComplex(X.n, X.triangles), group) == want
+        torsion += any(d % 2 == 0 for d in divisors)
+    assert torsion >= 2
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of the complex reductions and of their Smith loops."""
+    calls = {"eliminate": 0, "smith": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(complexes, "_eliminate", counted("eliminate", complexes._eliminate))
+    monkeypatch.setattr(complexes, "_divisors", counted("smith", complexes._divisors))
+    return calls
+
+
+@pytest.mark.parametrize("model", ["one-out", "lm", "hypertree"])
+def test_betti_trend_reduces_each_complex_once(eliminations, model):
+    cfg = ExperimentConfig(5, model=model, n_values=(6, 8), primes=(2, 3, 5), samples=3, include_mg=True)
+    run_betti_trend(cfg)
+    assert eliminations == {"eliminate": 6, "smith": 6}
+    cfg.include_mg = False
+    cfg.primes = (2,)
+    run_betti_trend(cfg)  # F_2 alone takes the XOR rank
+    assert eliminations == {"eliminate": 6, "smith": 6}
+    cfg.primes = (2, 3)
+    run_betti_trend(cfg)  # an odd prime reduces, but never runs the SNF
+    assert eliminations == {"eliminate": 12, "smith": 6}
+
+
+def test_homology_report_reduces_once(eliminations):
+    X = TwoComplex(6, PROJECTIVE_PLANE_6.triangles)
+    report = homology_report(X, p=3)
+    assert eliminations == {"eliminate": 1, "smith": 1}
+    assert report.dim_h1 == 0 and report.torsion_order == 2
+    Y = TwoComplex(6, PROJECTIVE_PLANE_6.triangles)
+    assert homology_report(Y, p=3, include_snf=False).dim_h1 == 0
+    assert homology_report(Y).min_generators == 1
+    assert homology_report(Y, p=2).dim_h1 == 1
+    assert eliminations == {"eliminate": 2, "smith": 2}

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from cochainlab.groups import Group
-from cochainlab.lab.certify import run_certification
+from cochainlab.complexes import TwoComplex
+from cochainlab.lab import certify
+from cochainlab.lab.certify import PROJECTIVE_PLANE_6, run_certification
 from cochainlab.lab.config import MODELS, ExperimentConfig
 from cochainlab.lab.experiments import (
     AUDIT_SLACK_TOL,
@@ -134,8 +136,13 @@ def test_layer_audit_is_exact_past_n8():
     assert audit["min_slack"] >= -AUDIT_SLACK_TOL
 
 
-def test_quick_certification_passes():
+def test_quick_certification_passes(monkeypatch):
+    # a stand-in for the shared complex, so no other test has reduced it
+    shared = TwoComplex(6, PROJECTIVE_PLANE_6.triangles)
+    monkeypatch.setattr(certify, "PROJECTIVE_PLANE_6", shared)
     report = run_certification(seed=0, quick=True)
     assert report.passed, report.table().to_csv()
     names = [c.name for c in report.checks]
     assert len(names) == len(set(names))
+    # the shared complex keeps no reduction, so every run reduces afresh
+    assert "reduction" not in vars(shared)
