@@ -56,5 +56,5 @@ print(f"\nlog P(hypertree inside Y_f): exact {exact:.6f}, bound {bound:.6f}, "
       f"slack {bound - exact:.6f}")
 
 # the one-face-per-edge model has a fully elementary product formula
-p = one_out_containment_probability(n, Y, exact=True)
+p = one_out_containment_probability(n, Y)
 print(f"one-out containment: {p} = {float(p):.3e}")

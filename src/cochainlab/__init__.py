@@ -17,7 +17,6 @@ from .complexes import (
     ProjectionKernel,
     TwoComplex,
     all_triangles,
-    avoidance_probability,
     avoidance_probability_exact,
     build_kernel,
     enumerate_hypertrees,
@@ -76,7 +75,6 @@ from .regularity import (
     fk_decompose,
     matrix_cut_norm,
     matrix_cut_norm_lower,
-    step,
     step_kernel,
     step_matrix,
 )

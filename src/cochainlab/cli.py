@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -376,9 +377,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_out(out: str | None) -> None:
+    """A --out that cannot be written fails before the command's work; the
+    file itself is opened only by _emit, once the command has succeeded."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise ValueError(f"--out {out!r} is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {out!r}: parent directory {parent!r} does not exist")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except (OSError, ValueError, KeyError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,7 +1,11 @@
 """Random 2-complexes on a complete 1-skeleton: the fixed-size determinantal
 face model, the one-face-per-edge model, and Bernoulli faces; plus the
-projection kernel behind the determinantal measure, exact avoidance
+projection kernel behind the determinantal measure, exact containment
 probabilities, and small-n exhaustive enumeration.
+
+Exact probabilities take one determinant path, Cauchy-Binet over the integer
+boundary d2 by Bareiss. The one float determinant is enumerate_hypertrees'
+batch filter, and Smith normal form cross-checks every tree it accepts.
 """
 from __future__ import annotations
 
@@ -100,10 +104,6 @@ def all_triangles(n: int) -> tuple[tuple[int, int, int], ...]:
 @lru_cache(maxsize=16)
 def _triangle_index_map(n: int) -> dict:
     return {t: i for i, t in enumerate(all_triangles(n))}
-
-
-def triangle_index(n: int, t) -> int:
-    return _triangle_index_map(n)[tuple(sorted(t))]
 
 
 def full_two_skeleton(n: int) -> TwoComplex:
@@ -227,11 +227,6 @@ class ProjectionKernel:
         u, v, w = self.triangles[i]
         return (d2[edge_index(n, u, v)] - d2[edge_index(n, u, w)] + d2[edge_index(n, v, w)]) / n
 
-    def subset_probability(self, S) -> float:
-        """det(K_S) = det(d2_S^T d2_S / n); for |S| = rank, the probability of S."""
-        BS = self.d2[:, [triangle_index(self.n, t) for t in S]]
-        return float(np.linalg.det(BS.T @ BS / self.n))
-
 
 def build_kernel(n: int) -> ProjectionKernel:
     """The projection kernel at n, for 3 <= n <= MAX_HYPERTREE_N."""
@@ -274,15 +269,6 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")
     return TwoComplex._from_sorted(kern.n, tris)
-
-
-def avoidance_probability(kernel: ProjectionKernel, Y) -> float:
-    """P(sample is contained in Y) = det(I - K restricted to the complement
-    of Y) = det(I_E - B B^T / n), B the columns of d2 off Y, by Sylvester's
-    identity; float path, see avoidance_probability_exact."""
-    yset = {tuple(sorted(t)) for t in Y}
-    B = kernel.d2[:, [i for i, t in enumerate(kernel.triangles) if t not in yset]]
-    return float(np.linalg.det(np.eye(B.shape[0]) - B @ B.T / kernel.n))
 
 
 def exact_kernel(n: int):
@@ -330,18 +316,13 @@ def log_containment_upper_bound(n: int, Y) -> float:
     return (n - 2) * math.log(n) + (1 - 2 / n) * total
 
 
-def one_out_containment_probability(n: int, Y, exact: bool = False):
+def one_out_containment_probability(n: int, Y) -> Fraction:
     """P(every face of the one-per-edge complex lands in Y): the per-edge
     choices are independent, giving prod over edges of t_Y(edge)/(n-2)."""
     t = triangle_edge_counts(n, Y)
-    if exact:
-        p = Fraction(1)
-        for u, v in edge_list(n):
-            p *= Fraction(int(t[u - 1, v - 1]), n - 2)
-        return p
-    p = 1.0
+    p = Fraction(1)
     for u, v in edge_list(n):
-        p *= t[u - 1, v - 1] / (n - 2)
+        p *= Fraction(int(t[u - 1, v - 1]), n - 2)
     return p
 
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..cochains import (
     Cochain,
-    edge_list,
     embed_graphon,
     path_counts,
     random_cochain,
@@ -28,7 +27,6 @@ from ..cochains import (
 from ..complexes import (
     TwoComplex,
     all_triangles,
-    avoidance_probability,
     avoidance_probability_exact,
     build_kernel,
     enumerate_hypertrees,
@@ -113,37 +111,41 @@ def _check_torsion_sums(checks: list, quick: bool):
 
 
 def _check_kernel(checks: list, trees5) -> None:
-    """Kernel minors against the enumerated law, plus a corruption canary."""
-    kern = build_kernel(5)
+    """Kernel minors against the enumerated law, plus a corruption canary.
+
+    K = d2^T d2 / n, so det(K_S) = t_S^2 / n^C(n-2,2) over a six-face set S
+    reads det(d2_S^T d2_S) = n^(6 - 3) t_S^2 = 125 t_S^2 in exact integers,
+    t_S the enumerated torsion and 0 off the support."""
     tor = {X.triangles: t for X, t in trees5}
     tris = all_triangles(5)
 
-    def worst_error(k) -> float:
-        worst = 0.0
-        for S in itertools.combinations(tris, 6):
-            expected = tor.get(tuple(S), 0) ** 2 / 125.0
-            worst = max(worst, abs(k.subset_probability(S) - expected))
-        return worst
+    def mismatches(d2) -> int:
+        bad = 0
+        for S in itertools.combinations(range(len(tris)), 6):
+            BS = d2[:, S].astype(object)
+            t = tor.get(tuple(tris[i] for i in S), 0)
+            bad += bareiss_det(BS.T @ BS) != 125 * t * t
+        return bad
 
-    err = worst_error(kern)
+    bad = mismatches(build_kernel(5).d2)
     checks.append(
         CertCheck(
             "kernel_vs_enumeration_n5",
-            err <= 1e-8,
-            f"max abs error {err:.3e} over 210 six-face subsets",
-            1e-8,
+            bad == 0,
+            f"det(d2_S^T d2_S) == 125 t_S^2 exactly on {210 - bad} of 210 six-face subsets",
+            0.0,
         )
     )
 
     corrupted = build_kernel(5)
     corrupted.d2[0, 0] = -corrupted.d2[0, 0]
-    err2 = worst_error(corrupted)
+    bad2 = mismatches(corrupted.d2)
     checks.append(
         CertCheck(
             "kernel_sensitivity",
-            err2 > 1e-4,
-            f"flipped entry raises max error to {err2:.3e}",
-            1e-4,
+            bad2 > 0,
+            f"flipped entry breaks the identity on {bad2} of 210 six-face subsets",
+            0.0,
         )
     )
 
@@ -187,12 +189,10 @@ def _check_sampler(checks: list, trees5, seed: int, quick: bool) -> None:
 
 
 def _check_avoidance(checks: list, trees5, seed: int) -> None:
-    """Float and exact containment probabilities against enumeration."""
-    kern = build_kernel(5)
+    """Exact containment probabilities against enumeration."""
     tris = all_triangles(5)
     rng = np.random.default_rng([seed & 0x7FFFFFFF, 13])
-    worst_float = 0.0
-    exact_ok = True
+    bad = 0
     cases = [tuple(tris), ()]
     for _ in range(20):
         size = int(rng.integers(3, 10))
@@ -204,16 +204,13 @@ def _check_avoidance(checks: list, trees5, seed: int) -> None:
             (Fraction(t * t, 125) for X, t in trees5 if set(X.triangles) <= yset),
             Fraction(0),
         )
-        exact_p = avoidance_probability_exact(5, Y)
-        if exact_p != enum_p:
-            exact_ok = False
-        worst_float = max(worst_float, abs(avoidance_probability(kern, Y) - float(enum_p)))
+        bad += avoidance_probability_exact(5, Y) != enum_p
     checks.append(
         CertCheck(
             "avoidance_consistency_n5",
-            exact_ok and worst_float <= 1e-10,
-            f"exact==enumeration on {len(cases)} face sets, float error {worst_float:.3e}",
-            1e-10,
+            bad == 0,
+            f"exact==enumeration on {len(cases) - bad} of {len(cases)} face sets",
+            0.0,
         )
     )
 
@@ -229,24 +226,17 @@ def _check_convolution(checks: list, seed: int, reps: int) -> None:
         f = random_cochain(n, nu, rng)
         W = embed_graphon(f, exact=True)
         conv = convolve(W)
-        pc = path_counts(f)
-        for a in range(n):
-            for bidx in range(n):
-                for gi in range(group.order):
-                    if conv.values[a, bidx, gi] != Fraction(int(pc[a, bidx, gi]), n):
-                        bad = f"rep {rep}: cell ({a},{bidx},{gi}) mismatch"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+        # conv.values holds Fractions, so the whole-array == is exact
+        hits = np.argwhere(conv.values * n != path_counts(f).astype(object))
+        if hits.size:
+            a, b, g = hits[0]
+            bad = f"rep {rep}: cell ({a},{b},{g}) mismatch"
             break
     checks.append(
         CertCheck(
             "convolution_identity",
             not bad,
-            bad or f"{reps} random cochains, all {'cells exact' if not bad else ''}",
+            bad or f"{reps} random cochains, all cells exact",
             0.0,
         )
     )
@@ -262,14 +252,10 @@ def _check_triangle_log_identity(checks: list, seed: int, reps: int) -> None:
         n = 3 + int(rng.integers(8))
         nu = SymmetricDistribution.uniform(group)
         f = random_cochain(n, nu, rng)
-        t = triangle_support_counts(f)
-        lhs: dict = {}
-        for u, v in edge_list(n):
-            arg = Fraction(int(t[u - 1, v - 1]), n)
-            lhs[arg] = lhs.get(arg, 0) + 1
+        counts, mult = np.unique(triangle_support_counts(f)[np.triu_indices(n, 1)], return_counts=True)
+        lhs = {Fraction(int(c), n): int(m) for c, m in zip(counts, mult)}
         terms = b_log_terms(embed_graphon(f, exact=True))
-        scaled = {arg: coeff * n * n / 2 for arg, coeff in terms.items()}
-        if scaled != {arg: Fraction(c) for arg, c in lhs.items()}:
+        if {arg: coeff * n * n / 2 for arg, coeff in terms.items()} != lhs:
             bad = f"rep {rep}: log-term multisets differ (n={n})"
             break
     checks.append(

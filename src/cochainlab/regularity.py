@@ -106,13 +106,6 @@ def step_kernel(W: StepKernel, P: Partition) -> StepKernel:
     return StepKernel(Wf.group, Wf.measures, mirror_canonical(Wf.group, vals), _validate=False)
 
 
-def step(obj, P: Partition):
-    """Conditional expectation onto the partition: matrices or kernels."""
-    if isinstance(obj, StepKernel):
-        return step_kernel(obj, P)
-    return step_matrix(obj, P)
-
-
 def matrix_cut_norm(M: np.ndarray) -> float:
     """Exact normalized cut norm (1/n^2) max_{S,T} |sum_{S x T} M|;
     exhaustive over row subsets, so limited to n <= 24."""

@@ -166,7 +166,7 @@ def kernel_to_json_dict(W: StepKernel) -> dict:
     }
 
 
-def kernel_from_json_dict(data: dict, require_graphon: bool = False, exact: bool = False) -> StepKernel:
+def kernel_from_json_dict(data: dict, exact: bool = False) -> StepKernel:
     try:
         group = group_from_json(data["group"])
         raw_measures = data["part_measures"]
@@ -185,10 +185,7 @@ def kernel_from_json_dict(data: dict, require_graphon: bool = False, exact: bool
     ]
     if any(len(cell) != group.order for row in vals for cell in row):
         raise ValueError(f"every value cell must list all {group.order} group elements")
-    W = StepKernel(group, measures, vals)  # validates symmetry and measures
-    if require_graphon and not W.is_graphon():
-        raise ValueError("range violated: graphon values must lie in [0, 1]")
-    return W
+    return StepKernel(group, measures, vals)  # validates symmetry and measures
 
 
 # ---------------------------------------------------------------------------

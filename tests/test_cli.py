@@ -104,6 +104,37 @@ def test_arithmetic_error_exits_two(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", [".", "missing/x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["certify", "--quick"], ["betti-trend", "--n", "6", "--samples", "2"]],
+    ids=["certify", "betti-trend"],
+)
+def test_unwritable_out_exits_before_the_work(tmp_path, monkeypatch, capsys, argv, out):
+    # --out a directory, or under a missing one: exit 2 naming the path, and
+    # neither the suite nor the sampler ever runs
+    import cochainlab.cli as cli
+    import cochainlab.lab.experiments as experiments
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran the command before checking --out")
+
+    monkeypatch.setattr(cli, "run_certification", no_work)
+    monkeypatch.setattr(experiments, "sample_one_out", no_work)
+    path = str(tmp_path / out)
+    assert run(argv + ["--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and repr(path) in err, err
+
+
+def test_failing_command_leaves_existing_out_untouched(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    out.write_text("kept\n")
+    assert run(["homology", "--in", str(tmp_path / "absent.json"), "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["layer-audit", "--n", "5", "--samples", "5"]
     src = Path(__file__).resolve().parent.parent / "src"

@@ -168,7 +168,7 @@ def _run(argv):
 def test_certify_exits_cleanly_on_any_options(tmp_path, out, data):
     """certify --quick with a drawn --seed and --format, at most one of them
     bad, and an --out that is absent, a file, a directory or a path under a
-    missing parent; the last two exit 2 after the suite ran."""
+    missing parent; the last two exit 2 before the suite runs."""
     fault = data.draw(st.sampled_from([None, "--seed", "--format"]))
     argv = ["certify", "--quick"]
     for flag in ("--seed", "--format"):

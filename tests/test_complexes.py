@@ -9,8 +9,8 @@ from cochainlab.cochains import Cochain, cocycle_triangles, edge_list, random_co
 from cochainlab.complexes import (
     TwoComplex,
     _reduced_boundary,
+    _triangle_index_map,
     all_triangles,
-    avoidance_probability,
     avoidance_probability_exact,
     build_kernel,
     enumerate_hypertrees,
@@ -23,7 +23,6 @@ from cochainlab.complexes import (
     sample_linial_meshulam,
     sample_one_out,
     triangle_edge_counts,
-    triangle_index,
 )
 from cochainlab.groups import Group, SymmetricDistribution
 from cochainlab.homology import bareiss_det, boundary_matrices, smith_normal_form
@@ -74,9 +73,9 @@ def test_all_triangles_count_and_index():
     n = 7
     tris = all_triangles(n)
     assert len(tris) == math.comb(n, 3)
-    for i, t in enumerate(tris):
-        assert triangle_index(n, t) == i
-    assert triangle_index(n, (5, 3, 1)) == triangle_index(n, (1, 3, 5))
+    assert list(tris) == sorted(tris) and all(a < b < c for a, b, c in tris)
+    # the index avoidance_probability_exact reads its columns by
+    assert _triangle_index_map(n) == {t: i for i, t in enumerate(tris)}
 
 
 def test_triangle_edge_counts_oracle():
@@ -184,19 +183,18 @@ def test_kernel_column_is_closed_form():
             assert np.array_equal(kern.column(i), G[:, i] / n), (n, i)
 
 
-def test_subset_probability_matches_exact_kernel():
+def test_kernel_minors_match_adjugate_kernel():
+    # det(K_S) from the columns of d2, det(d2_S^T d2_S) / n^|S| in integers,
+    # against the Fraction expansion of the minor of the adjugate kernel N / D
     n = 5
     kern = build_kernel(n)
-    N, D = exact_kernel(n)
-    tris = all_triangles(n)
-    for size in (1, 2):
-        for S in itertools.combinations(tris, size):
-            got = kern.subset_probability(S)
-            idx = [triangle_index(n, t) for t in S]
-            sub = [[Fraction(int(N[i, j]), int(D)) for j in idx] for i in idx]
-            # exact determinant via Fraction expansion (tiny sizes only)
-            expect = _det_fraction(sub)
-            assert abs(got - float(expect)) < 1e-9
+    N, D = _adjugate_kernel(n)
+    for size in (1, 2, 3):
+        for S in itertools.combinations(range(len(kern.triangles)), size):
+            BS = kern.d2[:, S].astype(object)
+            got = Fraction(bareiss_det(BS.T @ BS), n**size)
+            sub = [[Fraction(int(N[i, j]), int(D)) for j in S] for i in S]
+            assert got == _det_fraction(sub)
 
 
 def _det_fraction(rows):
@@ -260,15 +258,23 @@ def test_exact_kernel_denominator():
         assert (N * m == G.astype(object) * D).all()
 
 
+def _sylvester_avoidance(n, Y) -> float:
+    """Float oracle: det(I - K) on the complement of Y equals
+    det(I_E - B B^T / n), B the columns of d2 off Y, by Sylvester's identity."""
+    kern = build_kernel(n)
+    yset = {tuple(sorted(t)) for t in Y}
+    B = kern.d2[:, [i for i, t in enumerate(kern.triangles) if t not in yset]]
+    return float(np.linalg.det(np.eye(B.shape[0]) - B @ B.T / n))
+
+
 def test_avoidance_exact_vs_float():
     rng = np.random.default_rng(14)
     strict = 0
     for n, q in ((5, 0.35), (6, 0.6), (7, 0.75), (8, 0.85)):
-        kern = build_kernel(n)
         tris = all_triangles(n)
         for _ in range(15):
             Y = [t for t in tris if rng.random() < q]
-            p_float = avoidance_probability(kern, Y)
+            p_float = _sylvester_avoidance(n, Y)
             p_exact = avoidance_probability_exact(n, Y)
             assert 0 <= p_exact <= 1
             assert abs(p_float - float(p_exact)) < 1e-10
@@ -354,7 +360,7 @@ def test_one_out_containment_exact_formula():
     tris = all_triangles(n)
     for _ in range(8):
         Y = [t for t in tris if rng.random() < 0.7]
-        want = one_out_containment_probability(n, Y, exact=True)
+        want = one_out_containment_probability(n, Y)
         choices = []
         for u, v in edges:
             others = [w for w in range(1, n + 1) if w not in (u, v)]
@@ -365,17 +371,7 @@ def test_one_out_containment_exact_formula():
             total += 1
             if all(f in Yset for f in combo):
                 hit += 1
-        assert want == Fraction(hit, total)
-
-
-def test_one_out_containment_float_matches_exact():
-    n = 6
-    rng = np.random.default_rng(18)
-    tris = all_triangles(n)
-    Y = [t for t in tris if rng.random() < 0.3]
-    f = one_out_containment_probability(n, Y)
-    e = one_out_containment_probability(n, Y, exact=True)
-    assert abs(f - float(e)) < 1e-12
+        assert type(want) is Fraction and want == Fraction(hit, total)
 
 
 # ---------------------------------------------------------------------------

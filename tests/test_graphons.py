@@ -593,6 +593,23 @@ def test_b_minus_inf_sentinel():
     assert b_functional(W) == -math.inf
 
 
+@pytest.mark.parametrize("bad", [Fraction(-1, 2), Fraction(3, 2)])
+def test_functionals_reject_values_outside_the_unit_interval(bad):
+    # kernel files are read without a range gate; the functionals that need
+    # a graphon check the range themselves
+    g = Group((2,))
+    vals = np.full((2, 2, 2), Fraction(1, 2), dtype=object)
+    vals[0, 0, 1] = bad
+    W = StepKernel(g, [Fraction(1, 2)] * 2, vals)
+    nu = _uniform((2,))
+    calls = [lambda: b_log_terms(W)]
+    for K in (W, W.to_float()):
+        calls += [lambda K=K: b_functional(K), lambda K=K: rate_function(K, nu)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"needs values in \[0, 1\]"):
+            call()
+
+
 def test_b_log_terms_sum_to_b():
     rng = np.random.default_rng(19)
     f = random_cochain(6, _uniform((3,)), rng)

@@ -15,7 +15,6 @@ from cochainlab.regularity import (
     fk_decompose,
     matrix_cut_norm,
     matrix_cut_norm_lower,
-    step,
     step_kernel,
     step_matrix,
 )
@@ -128,13 +127,16 @@ def test_step_kernel_preserves_slice_integrals():
         assert abs(a - b) < 1e-12
 
 
-def test_step_dispatch():
+def test_step_kernel_matches_step_matrix_per_slice():
+    # with equal part measures, stepping a kernel steps each group slice as a matrix
     rng = np.random.default_rng(35)
-    M = rng.normal(size=(4, 4))
-    P = Partition.single_block(4)
-    assert np.allclose(step(M, P), step_matrix(M, P))
     W = random_kernel(Group((2,)), 4, rng)
-    assert isinstance(step(W, P), StepKernel)
+    W = StepKernel(W.group, [0.25] * 4, W.values)
+    for P in (Partition.single_block(4), Partition(4, [(0, 2), (1, 3)])):
+        S = step_kernel(W, P)
+        assert isinstance(S, StepKernel)
+        for g in range(W.group.order):
+            assert np.allclose(S.values[:, :, g], step_matrix(W.values[:, :, g], P))
 
 
 # ---------------------------------------------------------------------------

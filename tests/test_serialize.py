@@ -150,16 +150,6 @@ def test_kernel_rejects_broken_symmetry():
         kernel_from_json_dict(d)
 
 
-def test_kernel_graphon_gate():
-    W = random_kernel(Group((2,)), 3, np.random.default_rng(59), lo=-1.0, hi=1.0)
-    d = kernel_to_json_dict(W)
-    if W.is_graphon():
-        kernel_from_json_dict(d, require_graphon=True)
-    else:
-        with pytest.raises(ValueError, match="range violated"):
-            kernel_from_json_dict(d, require_graphon=True)
-
-
 _GROUPS = st.sampled_from([(2,), (3,), (4,), (2, 2)]).map(Group)
 
 
