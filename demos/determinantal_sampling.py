@@ -1,9 +1,10 @@
 """Draw spanning acyclic 2-complexes from the squared-torsion measure.
 
 The sampler conditions the projection kernel face by face. On the complete
-complex that kernel is K = d2^T d2 / n in closed form, read a column at a
-time from the integer boundary d2; here we check the sampler's output
-distribution against exact enumeration and exact avoidance numbers.
+complex that kernel is K = d2^T d2 / n in closed form, and the sampler reads
+it through each face's three edges, conditioning in edge space; here we
+check the sampler's output distribution against exact enumeration and exact
+avoidance numbers.
 """
 import collections
 import math
@@ -13,14 +14,17 @@ from scipy import stats
 
 from cochainlab import (
     avoidance_probability_exact,
+    boundary_matrices,
     build_kernel,
     enumerate_hypertrees,
+    full_two_skeleton,
     sample_hypertree,
 )
 
 n = 5
 kern = build_kernel(n)
-G = kern.d2.T @ kern.d2
+d2 = boundary_matrices(full_two_skeleton(n))
+G = d2.T @ d2
 print(f"kernel at n={n}: K = d2^T d2 / {n} on {G.shape[0]} faces, rank {kern.rank}; "
       f"trace G = {np.trace(G)} = n * rank, G G == n G: {bool((G @ G == n * G).all())}")
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
+from .homology import MAX_BOUNDARY_EDGES
 
 
 @lru_cache(maxsize=16)
@@ -102,6 +103,8 @@ class Cochain:
 def random_cochain(n: int, nu: SymmetricDistribution, rng: np.random.Generator) -> Cochain:
     """Independent nu-draws on the n(n-1)/2 edges."""
     m = n * (n - 1) // 2
+    if m > MAX_BOUNDARY_EDGES:
+        raise ValueError(f"random cochain needs C(n,2) <= {MAX_BOUNDARY_EDGES} edges; n = {n} has {m}")
     return Cochain(nu.group, n, nu.sample_indices(rng, m))
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cochains import edge_index, edge_list
+from .cochains import edge_list
 from .homology import (
     MAX_BOUNDARY_EDGES,
     _divisors,
@@ -26,6 +26,7 @@ from .homology import (
     _face_rows,
     bareiss_det,
     boundary_matrices,
+    face_edges,
 )
 
 
@@ -128,9 +129,9 @@ def triangle_edge_counts(n: int, triangles) -> np.ndarray:
 # (n <= 185) before that list is built.
 MAX_LM_TRIANGLES = 1 << 20
 
-# The sampler holds a C(n-1,2) x C(n,3) float array of Cholesky columns,
-# 13 MB at n = 30.
-MAX_HYPERTREE_N = 30
+# A draw holds a C(n-1,2) x C(n,2) float array, 11.5 MB and about 0.5 s at
+# n = 50; the Smith normal form of a hypertree takes 0.02 s there, 70 s at n = 60.
+MAX_HYPERTREE_N = 50
 
 
 # Each sampler's size checks; run_ez1_trend and run_betti_trend run them on
@@ -161,8 +162,8 @@ def check_hypertree_n(n: int) -> None:
         raise ValueError("need n >= 3")
     if n > MAX_HYPERTREE_N:
         raise ValueError(
-            f"kernel build capped at n = {MAX_HYPERTREE_N}"
-            f" (the sampler's C(n-1,2) x C(n,3) Cholesky array); n = {n}"
+            f"hypertree sampler capped at n = {MAX_HYPERTREE_N}"
+            f" (past it the Smith normal form of a draw takes minutes); n = {n}"
         )
 
 
@@ -211,21 +212,15 @@ class ProjectionKernel:
     measure.
 
     On the complete complex d2 d2^T + d1^T d1 = n I and d1 d2 = 0, so
-    K = d2^T d2 / n exactly. K is held as the integer d2 (C(n,2) x C(n,3))
-    and n, and never formed; rank = trace K = C(n-1,2).
+    K = d2^T d2 / n exactly. K is held as n and the F x 3 face_edges array
+    ``edges``, where d2 has +1, -1, +1; rank = trace K = C(n-1,2).
     """
 
     def __init__(self, n: int):
         self.n = n
         self.triangles = all_triangles(n)
         self.rank = math.comb(n - 1, 2)
-        self.d2 = boundary_matrices(full_two_skeleton(n))
-
-    def column(self, i: int) -> np.ndarray:
-        """K[:, i]: face (u, v, w) has +1 at uv, -1 at uw, +1 at vw in d2."""
-        n, d2 = self.n, self.d2
-        u, v, w = self.triangles[i]
-        return (d2[edge_index(n, u, v)] - d2[edge_index(n, u, w)] + d2[edge_index(n, v, w)]) / n
+        self.edges = np.array(face_edges(n, self.triangles), dtype=np.intp)
 
 
 def build_kernel(n: int) -> ProjectionKernel:
@@ -235,19 +230,20 @@ def build_kernel(n: int) -> ProjectionKernel:
 
 
 def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
-    """Exact fixed-size determinantal sample via sequential conditioning.
-
-    Chain rule for projection kernels: the next point is drawn with
-    probability d_i / remaining-rank from the conditioned diagonal d of
-    K - C C^T, which starts at K_ii = 3/n; C gains the Cholesky column
-    c = (K[:, i] - C C_i^T)/sqrt(d_i) per chosen face; no F x F array is
-    formed. Returns exactly rank faces; drift in d is the first
+    """Exact fixed-size determinantal sample via sequential conditioning
+    (Hough, Krishnapur, Peres and Virag 2006, Alg. 18) in edge space: with
+    R = d2, the conditioned kernel is R^T (I/n - U^T U) R, one row of U per
+    chosen face. The next face is drawn with probability d_i / remaining-rank
+    from its diagonal d, which starts at K_ii = 3/n; face i with edges
+    (a, b, c) adds v = (R_i/n - (U_a - U_b + U_c) U)/sqrt(d_i), and d loses
+    (R^T v)^2. Returns exactly rank faces; drift in d is the first
     certificate-visible failure of the chain.
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
-    F = len(kern.triangles)
-    d = np.full(F, 3 / kern.n)
-    C = np.empty((kern.rank, F))  # row t is the t-th Cholesky column
+    n, F = kern.n, len(kern.triangles)
+    e0, e1, e2 = kern.edges.T
+    d = np.full(F, 3 / n)
+    U = np.empty((kern.rank, n * (n - 1) // 2))
     chosen: list[int] = []
     for t, step in enumerate(range(kern.rank, 0, -1)):
         w = np.clip(d, 0.0, None)
@@ -263,8 +259,12 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         chosen.append(i)
         if d[i] <= 1e-9:
             raise ArithmeticError("conditioning picked a numerically null face")
-        C[t] = (kern.column(i) - C[:t, i] @ C[:t]) / math.sqrt(d[i])
-        d -= C[t] * C[t]
+        a, b, c = kern.edges[i].tolist()
+        U[t] = (U[:t, a] - U[:t, b] + U[:t, c]) @ U[:t]  # -v; U enters as U^T U
+        v = U[t]
+        v[a], v[b], v[c] = v[a] - 1 / n, v[b] + 1 / n, v[c] - 1 / n
+        v /= math.sqrt(d[i])
+        d -= (v[e0] - v[e1] + v[e2]) ** 2
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")

@@ -15,6 +15,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+# add_table is a Python |G|^2 loop: 1.6 s for Z/512, 2.7 s for (Z/2)^9.
+MAX_TABLE_ORDER = 1 << 9
+
 
 @dataclass(frozen=True)
 class Group:
@@ -80,6 +83,8 @@ class Group:
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = index(element(i) + element(j))."""
         k = self.order
+        if k > MAX_TABLE_ORDER:
+            raise ValueError(f"addition table needs group order <= {MAX_TABLE_ORDER}; {self} has {k}")
         tab = np.empty((k, k), dtype=np.intp)
         for i, a in enumerate(self.elements):
             for j, b in enumerate(self.elements):

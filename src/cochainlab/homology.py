@@ -65,8 +65,8 @@ MAX_BOUNDARY_EDGES = 1 << 19
 MAX_BOUNDARY_CELLS = 1 << 25
 
 
-def _check_boundary_size(n: int, num_faces: int) -> int:
-    """C(n,2) after checking both size bounds of d2."""
+def _check_boundary_size(n: int, num_faces: int) -> None:
+    """Both size bounds of d2."""
     E = n * (n - 1) // 2
     if E > MAX_BOUNDARY_EDGES:
         raise ValueError(
@@ -77,17 +77,24 @@ def _check_boundary_size(n: int, num_faces: int) -> int:
             f"boundary matrix needs C(n,2) x faces <= {MAX_BOUNDARY_CELLS} cells;"
             f" n = {n} with {num_faces} faces has {E * num_faces}"
         )
-    return E
+
+
+def face_edges(n: int, triangles) -> list[tuple[int, int, int]]:
+    """The lexicographic edge indices (uv, uw, vw) of each face (u < v < w):
+    its column of d2 has +1, -1, +1 there, and they increase in that order."""
+    _check_boundary_size(n, len(triangles))
+    # edge (a < b) has index (a - 1)(2n - a)/2 + b - a - 1 = off[a] + b
+    off = [(a - 1) * (2 * n - a) // 2 - a - 1 for a in range(n + 1)]
+    return [(off[u] + v, off[u] + w, off[v] + w) for u, v, w in triangles]
 
 
 def boundary_matrices(X) -> np.ndarray:
     """The dense int64 triangle boundary d2 of X, (C(n,2), faces): column j
-    is face j's row of _face_rows. The vertex-by-edge incidence d1 is not
-    built; d1 @ d2 = 0 is checked in the tests."""
-    rows = _face_rows(X)
-    d2 = np.zeros((X.n * (X.n - 1) // 2, len(rows)), dtype=np.int64)
-    cols = [j for j, row in enumerate(rows) for _ in row]
-    d2[[e for row in rows for e in row], cols] = [x for row in rows for x in row.values()]
+    has +1, -1, +1 at face j's face_edges. The vertex-by-edge incidence d1 is
+    not built; d1 @ d2 = 0 is checked in the tests."""
+    edges = np.array(face_edges(X.n, X.triangles), dtype=np.intp).reshape(-1, 3)
+    d2 = np.zeros((X.n * (X.n - 1) // 2, len(edges)), dtype=np.int64)
+    d2[edges, np.arange(len(edges))[:, None]] = (1, -1, 1)
     return d2
 
 
@@ -95,18 +102,10 @@ def boundary_matrices(X) -> np.ndarray:
 # sparse rows: {column: nonzero int}
 
 def _face_rows(X) -> list[dict[int, int]]:
-    """The rows of d2^T, one per face, straight from the face list: face
-    (u < v < w) has +1 at edge uv, -1 at uw and +1 at vw, whose lexicographic
-    edge indices increase in that order. Rank and Smith normal form are
-    transpose invariant, so the complex paths never build the dense d2."""
-    n = X.n
-    _check_boundary_size(n, len(X.triangles))
-    rows = []
-    for u, v, w in X.triangles:
-        # edge (a < b) has index (a - 1)(2n - a)/2 + b - a - 1
-        su = (u - 1) * (2 * n - u) // 2 - u - 1
-        rows.append({su + v: 1, su + w: -1, (v - 1) * (2 * n - v) // 2 + w - v - 1: 1})
-    return rows
+    """The rows of d2^T, one per face, straight from the face list. Rank and
+    Smith normal form are transpose invariant, so the complex paths never
+    build the dense d2."""
+    return [{a: 1, b: -1, c: 1} for a, b, c in face_edges(X.n, X.triangles)]
 
 
 def _matrix_rows(M) -> list[dict[int, int]]:

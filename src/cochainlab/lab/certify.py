@@ -119,15 +119,17 @@ def _check_kernel(checks: list, trees5) -> None:
     tor = {X.triangles: t for X, t in trees5}
     tris = all_triangles(5)
 
-    def mismatches(d2) -> int:
+    def mismatches(edges) -> int:
+        d2 = np.zeros((math.comb(5, 2), len(edges)), dtype=object)
+        d2[edges, np.arange(len(edges))[:, None]] = (1, -1, 1)
         bad = 0
         for S in itertools.combinations(range(len(tris)), 6):
-            BS = d2[:, S].astype(object)
+            BS = d2[:, S]
             t = tor.get(tuple(tris[i] for i in S), 0)
             bad += bareiss_det(BS.T @ BS) != 125 * t * t
         return bad
 
-    bad = mismatches(build_kernel(5).d2)
+    bad = mismatches(build_kernel(5).edges)
     checks.append(
         CertCheck(
             "kernel_vs_enumeration_n5",
@@ -137,9 +139,9 @@ def _check_kernel(checks: list, trees5) -> None:
         )
     )
 
-    corrupted = build_kernel(5)
-    corrupted.d2[0, 0] = -corrupted.d2[0, 0]
-    bad2 = mismatches(corrupted.d2)
+    corrupted = build_kernel(5).edges
+    corrupted[0, [0, 1]] = corrupted[0, [1, 0]]  # flips face 0's signs at uv and uw
+    bad2 = mismatches(corrupted)
     checks.append(
         CertCheck(
             "kernel_sensitivity",

@@ -225,6 +225,7 @@ def run_layer_audit(cfg: ExperimentConfig):
     audited and its slack entries are None.
     """
     group = cfg.group
+    group.add_table  # bounds |G| (ValueError) before the |G|-sized kernels below
     k = cfg.layers
     eps = math.log(group.order) / k
     n = cfg.n_values[0] if cfg.n_values else 6
@@ -308,6 +309,7 @@ def run_ldp_numerics(cfg: ExperimentConfig) -> Table:
     being compared and their gap, so CSV output captures everything.
     """
     group = cfg.group
+    group.add_table  # bounds |G| (ValueError) before the |G|-sized kernels below
     nu = SymmetricDistribution.uniform(group)
     table = Table(["check", "item", "value_a", "value_b", "gap"])
 

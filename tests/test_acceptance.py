@@ -27,6 +27,7 @@ from cochainlab.complexes import (
     all_triangles,
     build_kernel,
     enumerate_hypertrees,
+    full_two_skeleton,
     log_avoidance_probability_exact,
     log_containment_upper_bound,
     one_out_containment_probability,
@@ -83,13 +84,14 @@ def test_criterion_02_kernel_certificate_and_sampler():
     start = time.monotonic()
     n = 5
     kern = build_kernel(n)
+    d2 = boundary_matrices(full_two_skeleton(n))
     tris = all_triangles(n)
     # every maximal subset: det(K_S) = squared torsion / 125, or 0 off support;
     # with K = d2^T d2 / 5 that is det(d2_S^T d2_S) = 125 t^2 in integers
     for S in itertools.combinations(range(len(tris)), 6):
         d = smith_normal_form(boundary_matrices(TwoComplex(n, [tris[i] for i in S])))
         t = math.prod(d) if len(d) == 6 else 0
-        BS = kern.d2[:, S].astype(object)
+        BS = d2[:, S].astype(object)
         assert bareiss_det(BS.T @ BS) == 125 * t * t, S
 
     # chi-square of 1e4 draws against the exact weights

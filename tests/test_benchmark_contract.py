@@ -1,11 +1,17 @@
 """The benchmark's view of the program: every name that perfbench traces,
-imports or calls must still exist, so a renamed or deleted function fails
-here rather than first in a benchmark run."""
+imports or calls must still exist, and every attribute its trace hooks read
+off a result must still be there, so a renamed or deleted function or
+attribute fails here rather than first in a benchmark run."""
 import ast
 import importlib
 import importlib.util
 import types
 from pathlib import Path
+
+import numpy as np
+
+from cochainlab import complexes, graphons, homology
+from cochainlab.groups import Group
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +60,36 @@ def test_every_program_name_perfbench_reads_resolves():
         assert must in names, must  # the scan sees what the workloads read
     missing = [f"{m}.{a}" for m, a in sorted(names) if not hasattr(importlib.import_module(m), a)]
     assert not missing, missing
+
+
+def _traced_calls() -> dict:
+    """Arguments for one real call, at n = 5, of each traced function whose
+    span has a variant or computed counts."""
+    rng = np.random.default_rng(5)
+    d2 = homology.boundary_matrices(complexes.full_two_skeleton(5))
+    W = graphons.random_w00(Group((2,)), 3, np.random.default_rng(1))
+    return {
+        "build_kernel": (5,),
+        "sample_hypertree": (complexes.build_kernel(5), rng),
+        "sample_one_out": (5, rng),
+        "rank_mod_p": (d2, 3),
+        "smith_normal_form": (d2,),
+        "bareiss_det": (d2.T @ d2 + np.eye(10, dtype=np.int64),),
+        "convolve": (W,),
+        "max_box_exact": (W.values[:, :, 0],),
+        "fk_decompose": (W, 0.5, rng),
+    }
+
+
+def test_trace_hooks_read_real_results():
+    tracing = _load_tracing()
+    calls = _traced_calls()
+    hooked = [t for t in tracing.TRACED if t[2] or t[3]]
+    assert {attr for _, attr, _, _ in hooked} == set(calls)
+    for module, attr, variant, attrs in hooked:
+        args = calls[attr]
+        if variant:
+            assert variant(args, {}) in tracing.VARIANTS[attr], attr
+        if attrs:
+            counts = attrs(args, {}, getattr(module, attr)(*args))
+            assert counts and all(isinstance(v, int) and v >= 0 for v in counts.values()), (attr, counts)

@@ -323,15 +323,17 @@ def test_graphon_exact_rejects_nan(kernel_file, tmp_path, capsys):
 
 
 def test_sample_hypertree_caps_n(capsys):
-    assert run(["sample", "--model", "hypertree", "--n", "31"]) == 2
-    assert "capped at n = 30" in capsys.readouterr().err
+    assert run(["sample", "--model", "hypertree", "--n", "51"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: hypertree sampler capped at n = 50 (")
+    assert err.endswith("; n = 51\n")
 
 
 @pytest.mark.parametrize("command", ["ez1-trend", "betti-trend"])
 @pytest.mark.parametrize(
     "model, ns, bound",
     [
-        ("hypertree", "29,31", "Cholesky array); n = 31"),
+        ("hypertree", "49,51", "sampler capped at n = 50"),
         ("one-out", "6,1025", "one-out sampler needs C(n,2) <= 524288 edges; n = 1025"),
         ("lm", "6,186", "Linial-Meshulam sampler needs C(n,3) <= 1048576 triangles; n = 186"),
     ],

@@ -1,6 +1,7 @@
 """Derandomized fuzz of the command line: bad argument shapes and small
 malformed JSON files for homology, sample, the graphon subcommands, the
-scans ez1-trend, betti-trend and layer-audit, and certify's options.
+scans ez1-trend, betti-trend, layer-audit and ldp-numerics, and certify's
+options.
 
 Every run must end in exit 0, 1 or 2 with no traceback: ``main`` turns the
 errors it expects into exit 2, so any other exception escapes the call and
@@ -12,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cochainlab.cli import main
 from cochainlab.graphons import random_w00
-from cochainlab.groups import Group
+from cochainlab.groups import MAX_TABLE_ORDER, Group
 from cochainlab.lab.config import MAX_LAYERS, ExperimentConfig
 from cochainlab.serialize import kernel_to_json_dict
 
@@ -81,9 +83,11 @@ MODEL = {
 N_LISTS = (["3", "5,8", "6:8:2"], ["2", "0", "4,1", "3:8:0", "2.5"] + BAD)
 SAMPLES = (["1", "3"], ["0", "-1", "2.5"] + BAD)
 GROUP = (["2", "3", "2,2"], ["1", "0", "-2", "2,1", "2,,3", "2.5"] + BAD)
+# the scans that build the group's addition table also reject an order past it
+TABLE_GROUP = (GROUP[0], GROUP[1] + ["100000"])
 OPTIONS = {
     "homology": {"--in": "complex", "--p": (["2", "3", "1000003"], ["4", "1", "0"] + BAD), "--no-snf": None},
-    "sample": {"--n": (["3", "5", "8"], ["2", "31", "100000", "0"] + BAD), **MODEL},
+    "sample": {"--n": (["3", "5", "8"], ["2", "51", "100000", "0"] + BAD), **MODEL},
     "cutnorm": {"--in": "kernel"},
     "b": {"--in": "kernel"},
     "rate": {"--in": "kernel", "--nu": "nu"},
@@ -98,13 +102,14 @@ OPTIONS = {
         **MODEL,
     },
     "layer-audit": {
-        "--n": (["3", "5", "8"], ["2", "0", "-1"] + BAD),
+        "--n": (["3", "5", "8"], ["2", "0", "-1", "100000"] + BAD),
         "--samples": SAMPLES,
-        "--group": GROUP,
+        "--group": TABLE_GROUP,
         "--layers": (["1", "3", "10"], ["0", "-1", "2000000000"] + BAD),
     },
+    "ldp-numerics": {"--samples": SAMPLES, "--group": TABLE_GROUP},
 }
-SCANS = {"ez1-trend", "betti-trend", "layer-audit"}
+SCANS = {"ez1-trend", "betti-trend", "layer-audit", "ldp-numerics"}
 REQUIRED = {"--in", "--n", "--eps"}
 # The scans' defaults (n up to 10, 100 or more samples) are past the fuzz's
 # sizes, so their sizes are always given, and so is --seed: it follows them,
@@ -191,3 +196,41 @@ def test_layer_audit_layers_capped_before_allocation():
     code, err = _run(["layer-audit", "--n", "8", "--samples", "1", "--layers", "2000000000"])
     assert code == 2
     assert err == f"error: layers must be <= MAX_LAYERS = {MAX_LAYERS}; got 2000000000\n"
+
+
+def _peak_bytes(argv):
+    """(exit code, stderr, peak bytes traced) of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        code, err = _run(argv)
+        return code, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["layer-audit", "--n", "100000"],
+            "random cochain needs C(n,2) <= 524288 edges; n = 100000 has 4999950000",
+        ),
+        (
+            ["layer-audit", "--n", "8", "--group", "100000"],
+            f"addition table needs group order <= {MAX_TABLE_ORDER}; Z/100000 has 100000",
+        ),
+        (
+            ["ldp-numerics", "--group", "100000"],
+            f"addition table needs group order <= {MAX_TABLE_ORDER}; Z/100000 has 100000",
+        ),
+    ],
+)
+def test_scan_sizes_capped_before_allocation(argv, message):
+    # C(100000, 2) labels are 40 GB and a Z/100000 addition table 80 GB; the
+    # |G|-sized kernels ldp-numerics builds before its first b value are 3 GB
+    code, err, peak = _peak_bytes(argv + ["--samples", "1"])
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert peak < 5 * 2**20, peak
+    with pytest.raises(ValueError, match=f"group order <= {MAX_TABLE_ORDER}; Z/{MAX_TABLE_ORDER + 1} "):
+        Group((MAX_TABLE_ORDER + 1,)).add_table

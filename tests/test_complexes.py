@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cochainlab.cochains import Cochain, cocycle_triangles, edge_list, random_cochain
+from cochainlab.cochains import Cochain, cocycle_triangles, edge_index, edge_list, random_cochain
 from cochainlab.complexes import (
     TwoComplex,
     _reduced_boundary,
@@ -25,7 +25,7 @@ from cochainlab.complexes import (
     triangle_edge_counts,
 )
 from cochainlab.groups import Group, SymmetricDistribution
-from cochainlab.homology import bareiss_det, boundary_matrices, smith_normal_form
+from cochainlab.homology import bareiss_det, boundary_matrices, count_cocycles, smith_normal_form
 from cochainlab.lab.config import ExperimentConfig
 
 
@@ -131,7 +131,8 @@ def test_linial_meshulam_extremes():
 def test_kernel_invariants():
     for n in (4, 5, 6):
         kern = build_kernel(n)
-        K = kern.d2.T @ kern.d2 / kern.n
+        d2 = boundary_matrices(full_two_skeleton(n))
+        K = d2.T @ d2 / kern.n
         F = math.comb(n, 3)
         assert K.shape == (F, F)
         assert np.allclose(K, K.T, atol=1e-12)
@@ -142,8 +143,8 @@ def test_kernel_invariants():
 
 def test_kernel_diagonal_n4():
     # at n = 4 every triangle has inclusion probability rank/faces = 3/4
-    kern = build_kernel(4)
-    K = kern.d2.T @ kern.d2 / kern.n
+    d2 = boundary_matrices(full_two_skeleton(4))
+    K = d2.T @ d2 / 4
     assert np.allclose(np.diag(K), 0.75, atol=1e-12)
 
 
@@ -173,25 +174,30 @@ def test_closed_form_kernel_identities():
         assert (d2 @ d2.T + d1.T @ d1 == n * np.eye(len(edge_list(n)), dtype=np.int64)).all()
 
 
-def test_kernel_column_is_closed_form():
-    for n in (3, 4, 7, 10):
+def test_kernel_edges_scatter_to_the_boundary():
+    # the kernel's face incidence is d2: +1, -1, +1 at each face's edges
+    for n in range(3, 13):
         kern = build_kernel(n)
-        G, _ = exact_kernel(n)
         assert kern.rank == math.comb(n - 1, 2)
         assert kern.triangles == all_triangles(n)
-        for i in range(len(kern.triangles)):
-            assert np.array_equal(kern.column(i), G[:, i] / n), (n, i)
+        assert kern.edges.shape == (len(kern.triangles), 3)
+        d2 = np.zeros((len(edge_list(n)), len(kern.triangles)), dtype=np.int64)
+        d2[kern.edges, np.arange(len(kern.triangles))[:, None]] = (1, -1, 1)
+        assert (d2 == boundary_matrices(full_two_skeleton(n))).all(), n
+        # and the edges are those of the cochains' edge order, face by face
+        want = [[edge_index(n, u, v), edge_index(n, u, w), edge_index(n, v, w)] for u, v, w in kern.triangles]
+        assert kern.edges.tolist() == want, n
 
 
 def test_kernel_minors_match_adjugate_kernel():
     # det(K_S) from the columns of d2, det(d2_S^T d2_S) / n^|S| in integers,
     # against the Fraction expansion of the minor of the adjugate kernel N / D
     n = 5
-    kern = build_kernel(n)
+    d2 = boundary_matrices(full_two_skeleton(n))
     N, D = _adjugate_kernel(n)
     for size in (1, 2, 3):
-        for S in itertools.combinations(range(len(kern.triangles)), size):
-            BS = kern.d2[:, S].astype(object)
+        for S in itertools.combinations(range(d2.shape[1]), size):
+            BS = d2[:, S].astype(object)
             got = Fraction(bareiss_det(BS.T @ BS), n**size)
             sub = [[Fraction(int(N[i, j]), int(D)) for j in S] for i in S]
             assert got == _det_fraction(sub)
@@ -261,9 +267,9 @@ def test_exact_kernel_denominator():
 def _sylvester_avoidance(n, Y) -> float:
     """Float oracle: det(I - K) on the complement of Y equals
     det(I_E - B B^T / n), B the columns of d2 off Y, by Sylvester's identity."""
-    kern = build_kernel(n)
     yset = {tuple(sorted(t)) for t in Y}
-    B = kern.d2[:, [i for i, t in enumerate(kern.triangles) if t not in yset]]
+    d2 = boundary_matrices(full_two_skeleton(n))
+    B = d2[:, [i for i, t in enumerate(all_triangles(n)) if t not in yset]]
     return float(np.linalg.det(np.eye(B.shape[0]) - B @ B.T / n))
 
 
@@ -280,6 +286,32 @@ def test_avoidance_exact_vs_float():
             assert abs(p_float - float(p_exact)) < 1e-10
             strict += 0 < p_exact < 1
     assert strict >= 20, strict
+
+
+def _expected_z2_cocycles_by_avoidance(n):
+    """E|Z^1(T_n, Z/2)| = sum over 1-cochains f of P(T within Y_f), Y_f the
+    triangles with df = 0. Y_f depends on f only modulo the 2^(n-1)
+    coboundaries, and each class has one f that vanishes on the star of
+    vertex 1, so the sum runs over those f alone."""
+    z2 = Group((2,))
+    free = [i for i, (u, _) in enumerate(edge_list(n)) if u > 1]
+    total = Fraction(0)
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        labels = np.zeros(len(edge_list(n)), dtype=np.intp)
+        labels[free] = bits
+        total += avoidance_probability_exact(n, cocycle_triangles(Cochain(z2, n, labels)))
+    return 2 ** (n - 1) * total
+
+
+def test_expected_cocycle_count_exact_oracle():
+    # route 2: sum over the enumerated hypertrees of P(T) |Z^1(T, Z/2)|, with
+    # P(T) = t^2 / n^C(n-2,2); it takes seconds at n = 6, so n = 6 checks
+    # route 1 against its value, 7784/243, which matched route 2 when taken
+    z2 = Group((2,))
+    mass = 5 ** math.comb(3, 2)
+    by_trees = sum(Fraction(t * t, mass) * count_cocycles(X, z2) for X, t in enumerate_hypertrees(5))
+    assert by_trees == _expected_z2_cocycles_by_avoidance(5) == 16
+    assert _expected_z2_cocycles_by_avoidance(6) == Fraction(7784, 243)
 
 
 def test_avoidance_extreme_sets():
@@ -400,7 +432,8 @@ def test_sample_hypertree_accepts_kernel_object():
 def _schur_sample_hypertree(kern, rng):
     """Reference sampler: sequential Schur complements of the dense F x F
     kernel K = d2^T d2 / n, with the same draws and guards as sample_hypertree."""
-    K = kern.d2.T @ kern.d2 / kern.n
+    d2 = boundary_matrices(full_two_skeleton(kern.n))
+    K = d2.T @ d2 / kern.n
     F = K.shape[0]
     chosen: list[int] = []
     for step in range(kern.rank, 0, -1):
@@ -434,12 +467,14 @@ def test_sample_hypertree_matches_schur_reference():
             got = sample_hypertree(kern, np.random.default_rng([seed, n]))
             want = _schur_sample_hypertree(kern, np.random.default_rng([seed, n]))
             assert got.triangles == want.triangles, (n, seed)
-    kern = build_kernel(16)
-    cfg = ExperimentConfig(seed=0)
-    for rep in range(2):
-        got = sample_hypertree(kern, cfg.replica_rng("ez1", 16, rep))
-        want = _schur_sample_hypertree(kern, cfg.replica_rng("ez1", 16, rep))
-        assert got.triangles == want.triangles, rep
+    # seed 0 at n = 16, and the benchmark's hypertree-scan draws at n = 20
+    for seed, n in ((0, 16), (3, 20), (4, 20)):
+        kern = build_kernel(n)
+        cfg = ExperimentConfig(seed=seed)
+        for rep in range(2):
+            got = sample_hypertree(kern, cfg.replica_rng("ez1", n, rep))
+            want = _schur_sample_hypertree(kern, cfg.replica_rng("ez1", n, rep))
+            assert got.triangles == want.triangles, (seed, n, rep)
 
 
 def test_enumerate_counts():
