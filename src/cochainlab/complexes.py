@@ -238,23 +238,34 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     (a, b, c) adds v = (R_i/n - (U_a - U_b + U_c) U)/sqrt(d_i), and d loses
     (R^T v)^2. Returns exactly rank faces; drift in d is the first
     certificate-visible failure of the chain.
+
+    Each step runs through buffers allocated once per draw. A chosen face's
+    d is set to -inf after its own update, so max(d, 0) gives it weight 0
+    and the null-face guard still rejects it if the end-of-array clamp lands
+    there. The weights' total is add.reduce (the pairwise sum of w.sum())
+    and the sampling scan add.accumulate (the sequential sum of cumsum), and
+    the squared gap (v_a - v_b) + v_c is formed in the same order, so a seed
+    draws bitwise the same faces as clip, sum and cumsum temporaries would.
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
     n, F = kern.n, len(kern.triangles)
-    e0, e1, e2 = kern.edges.T
+    edges_by_slot = np.ascontiguousarray(kern.edges.T)  # (3, F): rows a, b, c
     d = np.full(F, 3 / n)
+    w = np.empty(F)
+    cs = np.empty(F)
+    g = np.empty((3, F))
+    x = g[0]  # (v_a - v_b) + v_c overwrites the gathered v_a
     U = np.empty((kern.rank, n * (n - 1) // 2))
     chosen: list[int] = []
     for t, step in enumerate(range(kern.rank, 0, -1)):
-        w = np.clip(d, 0.0, None)
-        w[chosen] = 0.0
-        total = w.sum()
+        np.maximum(d, 0.0, out=w)
+        total = float(np.add.reduce(w))
         if abs(total - step) > 1e-6 * max(step, 1):
             raise ArithmeticError(
                 f"conditioned trace {total} drifted from remaining rank {step}"
             )
         u = rng.random() * total
-        i = int(np.searchsorted(np.cumsum(w), u, side="right"))
+        i = int(np.add.accumulate(w, out=cs).searchsorted(u, side="right"))
         i = min(i, F - 1)
         chosen.append(i)
         if d[i] <= 1e-9:
@@ -264,7 +275,12 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         v = U[t]
         v[a], v[b], v[c] = v[a] - 1 / n, v[b] + 1 / n, v[c] - 1 / n
         v /= math.sqrt(d[i])
-        d -= (v[e0] - v[e1] + v[e2]) ** 2
+        v.take(edges_by_slot, out=g)
+        x -= g[1]
+        x += g[2]
+        x *= x
+        d -= x
+        d[i] = -np.inf
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")

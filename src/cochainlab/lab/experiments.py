@@ -36,8 +36,8 @@ from ..graphons import (
     rate_function,
     uniform_kernel,
 )
-from ..groups import SymmetricDistribution
-from ..homology import count_cocycles, dim_h1_mod_p, min_generators_h1
+from ..groups import MAX_TABLE_ORDER, SymmetricDistribution
+from ..homology import MAX_BOUNDARY_EDGES, count_cocycles, dim_h1_mod_p, min_generators_h1
 from .config import ExperimentConfig
 from .output import Table
 
@@ -52,6 +52,11 @@ AUDIT_MAX_N = 16
 # computed in floats, so the audit fails only when the slack is below
 # -AUDIT_SLACK_TOL
 AUDIT_SLACK_TOL = 1e-9
+
+# largest n^2 * |G| a layer audit accepts: embed_graphon's kernel and each
+# array b_functional builds hold that many floats. It admits --n 1024 over
+# Z/2, 16 MB per array and about 226 MB at peak
+MAX_AUDIT_CELLS = 1 << 21
 
 
 def _log_fraction(x: Fraction) -> float:
@@ -225,10 +230,18 @@ def run_layer_audit(cfg: ExperimentConfig):
     audited and its slack entries are None.
     """
     group = cfg.group
+    n = cfg.n_values[0] if cfg.n_values else 6
+    cells = n * n * group.order
+    # n and |G| past their own bounds (random_cochain's C(n,2), add_table's
+    # order) keep those messages; within them, the product is checked here,
+    # before add_table's |G|^2 loop and the first draw
+    if cells > MAX_AUDIT_CELLS and math.comb(n, 2) <= MAX_BOUNDARY_EDGES and group.order <= MAX_TABLE_ORDER:
+        raise ValueError(
+            f"layer audit needs n^2 * |G| <= {MAX_AUDIT_CELLS} kernel cells; n = {n} over {group} has {cells}"
+        )
     group.add_table  # bounds |G| (ValueError) before the |G|-sized kernels below
     k = cfg.layers
     eps = math.log(group.order) / k
-    n = cfg.n_values[0] if cfg.n_values else 6
     nu = SymmetricDistribution.uniform(group)
     counts = [0] * (k + 1)
     audit_enabled = n <= AUDIT_MAX_N

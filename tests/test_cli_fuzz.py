@@ -23,6 +23,7 @@ from cochainlab.cli import main
 from cochainlab.graphons import random_w00
 from cochainlab.groups import MAX_TABLE_ORDER, Group
 from cochainlab.lab.config import MAX_LAYERS, ExperimentConfig
+from cochainlab.lab.experiments import MAX_AUDIT_CELLS
 from cochainlab.serialize import kernel_to_json_dict
 
 VALID_DOCS = {
@@ -223,11 +224,16 @@ def _peak_bytes(argv):
             ["ldp-numerics", "--group", "100000"],
             f"addition table needs group order <= {MAX_TABLE_ORDER}; Z/100000 has 100000",
         ),
+        (
+            ["layer-audit", "--n", "1024", "--group", "512"],
+            f"layer audit needs n^2 * |G| <= {MAX_AUDIT_CELLS} kernel cells; n = 1024 over Z/512 has 536870912",
+        ),
     ],
 )
 def test_scan_sizes_capped_before_allocation(argv, message):
     # C(100000, 2) labels are 40 GB and a Z/100000 addition table 80 GB; the
-    # |G|-sized kernels ldp-numerics builds before its first b value are 3 GB
+    # |G|-sized kernels ldp-numerics builds before its first b value are 3 GB,
+    # and each n x n x |G| array of a layer audit at n = 1024 over Z/512 4 GB
     code, err, peak = _peak_bytes(argv + ["--samples", "1"])
     assert code == 2
     assert err == f"error: {message}\n"

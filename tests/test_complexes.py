@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -475,6 +476,48 @@ def test_sample_hypertree_matches_schur_reference():
             got = sample_hypertree(kern, cfg.replica_rng("ez1", n, rep))
             want = _schur_sample_hypertree(kern, cfg.replica_rng("ez1", n, rep))
             assert got.triangles == want.triangles, (seed, n, rep)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (30, "3629d1b900cfd641ea568e4d0af2bd332e2f41c35991cba12d4b948906c12c48"),
+        (40, "6712c634639ee1efed34c1b10080ca05a619fb79cf85839df64b5da7977abc39"),
+    ],
+)
+def test_sample_hypertree_pinned_past_schur_reference(n, digest):
+    # past the dense reference the chain's own rank x C(n,2) product is the
+    # cost; these sha256s of repr(faces) were recorded from the unbuffered chain
+    T = sample_hypertree(build_kernel(n), ExperimentConfig(seed=3).replica_rng("ez1", n, 0))
+    assert T.num_faces == math.comb(n - 1, 2)
+    assert hashlib.sha256(repr(T.triangles).encode()).hexdigest() == digest
+
+
+class _TopRng:
+    """An rng whose every draw is the largest float below 1, so each step
+    samples at the top of the weights."""
+
+    def random(self):
+        return np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("sampler", [sample_hypertree, _schur_sample_hypertree])
+def test_sample_hypertree_null_face_guard(sampler):
+    # the last face is chosen first; at n = 6 a later step's u exceeds the
+    # sequential scan's end, and the end-of-array clamp lands on that face again
+    with pytest.raises(ArithmeticError, match="conditioning picked a numerically null face"):
+        sampler(build_kernel(6), _TopRng())
+
+
+def test_sample_hypertree_drift_guard():
+    # face 0 given face 1's edges: the conditioned diagonal no longer sums
+    # to the remaining rank
+    for n in (5, 6, 8):
+        for seed in range(20):
+            kern = build_kernel(n)
+            kern.edges[0] = kern.edges[1]
+            with pytest.raises(ArithmeticError, match=r"conditioned trace \S+ drifted from remaining rank \d+"):
+                sample_hypertree(kern, np.random.default_rng(seed))
 
 
 def test_enumerate_counts():
