@@ -21,12 +21,14 @@ import numpy as np
 from .cochains import edge_list
 from .homology import (
     MAX_BOUNDARY_EDGES,
+    _check_boundary_size,
     _divisors,
     _eliminate,
     _face_rows,
     bareiss_det,
     boundary_matrices,
     face_edges,
+    gram_det_operand,
 )
 
 
@@ -45,18 +47,8 @@ class TwoComplex:
 
     def __init__(self, n: int, triangles):
         n = int(n)
-        if n < 3:
-            raise ValueError("need n >= 3")
-        norm = set()
-        for t in triangles:
-            t = tuple(sorted(_vertex(v) for v in t))
-            if len(set(t)) != 3:
-                raise ValueError(f"triangle {t} has repeated vertices")
-            if t[0] < 1 or t[2] > n:
-                raise ValueError(f"triangle {t} out of range for n={n}")
-            norm.add(t)
+        object.__setattr__(self, "triangles", face_set(n, triangles))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "triangles", tuple(sorted(norm)))
 
     @classmethod
     def _from_sorted(cls, n: int, triangles) -> TwoComplex:
@@ -97,14 +89,31 @@ def _vertex(v) -> int:
     raise ValueError(f"triangle vertex {v!r} is not an integer")
 
 
+def face_set(n: int, triangles) -> tuple[tuple[int, int, int], ...]:
+    """The face set Y as sorted distinct triples: the one check on faces, for
+    TwoComplex and the containment functions. Each face must have three
+    distinct integer vertices in 1..n (ValueError naming the face); vertex
+    order and repeated faces do not matter."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    norm = set()
+    for face in triangles:
+        try:
+            norm.add(tuple(sorted(map(_vertex, face))))
+        except ValueError as err:
+            raise ValueError(f"{err}, in triangle {tuple(face)}") from None
+    faces = sorted(norm)
+    for t in faces:
+        if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
+            raise ValueError(f"triangle {t} needs three distinct vertices")
+        if t[0] < 1 or t[2] > n:
+            raise ValueError(f"triangle {t} out of range for n={n}")
+    return tuple(faces)
+
+
 @lru_cache(maxsize=16)
 def all_triangles(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 3))
-
-
-@lru_cache(maxsize=16)
-def _triangle_index_map(n: int) -> dict:
-    return {t: i for i, t in enumerate(all_triangles(n))}
 
 
 def full_two_skeleton(n: int) -> TwoComplex:
@@ -112,10 +121,10 @@ def full_two_skeleton(n: int) -> TwoComplex:
 
 
 def triangle_edge_counts(n: int, triangles) -> np.ndarray:
-    """t[u-1, w-1] = number of the given triangles containing edge {u, w};
-    symmetric with zero diagonal."""
+    """t[u-1, w-1] = number of faces of the face set (face_set) containing
+    edge {u, w}; symmetric with zero diagonal."""
     t = np.zeros((n, n), dtype=np.int64)
-    for a, b, c in triangles:
+    for a, b, c in face_set(n, triangles):
         for u, w in ((a, b), (a, c), (b, c)):
             t[u - 1, w - 1] += 1
             t[w - 1, u - 1] += 1
@@ -295,18 +304,33 @@ def exact_kernel(n: int):
 
 
 def avoidance_probability_exact(n: int, Y) -> Fraction:
-    """Exact P(sample within Y) = det(B_Y B_Y^T) / n^C(n-2,2).
+    """Exact P(sample within Y) = det(B_Y B_Y^T) / n^C(n-2,2), B_Y the rows
+    of d2 on the r = C(n-1,2) edges inside [n-1] and its columns on the face
+    set Y (face_set).
 
-    Cauchy-Binet: det(B_Y B_Y^T) sums det(B_S)^2 over the C(n-1,2)-subsets S
-    of Y, the squared-torsion weights of the hypertrees inside Y, and the
-    full-skeleton sum is n^C(n-2,2). One r x r Bareiss determinant on small
-    integers, r = C(n-1,2); no floats anywhere.
+    Cauchy-Binet: det(B_Y B_Y^T) sums det(B_S)^2 over the r-subsets S of Y,
+    the squared-torsion weights |H_1(S)|^2 of the hypertrees inside Y, and
+    over the full skeleton that sum is Kalai's weighted hypertree count
+    n^C(n-2,2) (Kalai 1983, Enumeration of Q-acyclic simplicial complexes).
+    One Bareiss determinant on integers, no floats anywhere. Gauss-Jordan on
+    s +-1 pivots of B_Y's edge rows, by row operations only, gives
+    B_Y ~ [[I_s, X], [0, C]], and
+    det(B_Y B_Y^T) = det(I + X^T X) det(C (I + X^T X)^-1 C^T)
+                   = (-1)^(r-s) det([[I + X^T X, C^T], [C, 0]]).
+    Bareiss runs on that bordered matrix, of order |Y| + r - 2s, when it is
+    smaller than r, and on B_Y B_Y^T otherwise (homology.gram_det_operand).
     """
-    B = _reduced_boundary(n)
-    index = _triangle_index_map(n)
-    cols = sorted({index[tuple(sorted(t))] for t in Y})
-    BY = B[:, cols]
-    return Fraction(bareiss_det(BY @ BY.T), n ** math.comb(n - 2, 2))
+    # n is bounded as for the full skeleton's d2 (n <= 53), before any
+    # r x r matrix is built
+    _check_boundary_size(n, math.comb(n, 3))
+    faces = face_set(n, Y)
+    # a face (u, v, n) keeps only its edge uv inside [n-1]
+    columns = [
+        {a: 1, b: -1, c: 1} if w < n else {a: 1}
+        for (_, _, w), (a, b, c) in zip(faces, face_edges(n, faces))
+    ]
+    sign, M = gram_det_operand(columns, math.comb(n - 1, 2))
+    return Fraction(sign * bareiss_det(M), n ** math.comb(n - 2, 2))
 
 
 def log_avoidance_probability_exact(n: int, Y) -> float:

@@ -12,7 +12,9 @@ every prime p, and the elementary divisors are (1,) * units + SNF(core), with
 the dense min-abs loop on arbitrary-precision integers run on the core only.
 Odd-p ranks, cocycle counts, torsion and generator counts all read that one
 reduction, and a rank never runs the SNF. An F_2 rank is always the cheaper
-XOR elimination of bit-mask face rows.
+XOR elimination of bit-mask face rows. bareiss_det is the one exact
+determinant; gram_det_operand shrinks a Gram determinant det(B B^T) by the
+same kind of unit-pivot elimination before it.
 """
 from __future__ import annotations
 
@@ -210,8 +212,9 @@ def rank_rational(M) -> int:
 # integer determinants and Smith normal form
 
 def bareiss_det(M) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    A = [[int(x) for x in row] for row in np.asarray(M)]
+    """Fraction-free exact determinant of an integer matrix (an array or a
+    sequence of rows; Python ints of any size)."""
+    A = [[int(x) for x in row] for row in M]
     n = len(A)
     if n == 0:
         return 1
@@ -235,6 +238,126 @@ def bareiss_det(M) -> int:
             Ai[k] = 0
         prev = akk
     return sign * A[n - 1][n - 1]
+
+
+def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:
+    """(sign, M) with det(B B^T) = sign * bareiss_det(M), for the integer
+    matrix B of r rows whose columns are ``columns``, each a {row key:
+    nonzero} dict (not modified; at most r distinct keys overall).
+
+    Gauss-Jordan on +-1 pivots by row operations only (_unit_jordan), which
+    are unimodular on the left, brings B to [[I_s, X], [0, C]] up to row
+    signs and a column permutation. B B^T then has the determinant of
+    [[I + X X^T, X C^T], [C X^T, C C^T]], which by the Schur complement and
+    I - X^T (I + X X^T)^-1 X = (I + X^T X)^-1 is
+    det(I + X^T X) det(C (I + X^T X)^-1 C^T)
+    = (-1)^(r - s) det([[0, C], [C^T, I + X^T X]]).
+    M is that bordered matrix, of order m + r - 2s for m columns, when it is
+    smaller than r, and B B^T otherwise; the reduction is skipped when
+    m >= 2r, where it cannot win. Both matrices are symmetric with their
+    zero rows (of B B^T, or of C) first, so Bareiss returns 0 at its first
+    column when there is one.
+    """
+    m = len(columns)
+    if m < 2 * r:
+        pivots, live, free = _unit_jordan(columns)
+        s = len(pivots)
+        if m + r - 2 * s < r:
+            t = r - s  # rows of C, the zero ones first
+            at = {j: k for k, j in enumerate(free, start=t)}
+            M = [[0] * (t + m - s) for _ in range(t + m - s)]
+            for k in range(t, t + m - s):
+                M[k][k] = 1
+            _add_outer_products(M, pivots, at)  # I + X^T X; a row's sign squares away
+            for i, row in enumerate(live, start=t - len(live)):
+                for j, v in row.items():
+                    M[i][at[j]] = M[at[j]][i] = v
+            return (-1) ** t, M
+    keys = sorted({i for col in columns for i in col})
+    at = {i: k for k, i in enumerate(keys, start=r - len(keys))}
+    M = [[0] * r for _ in range(r)]
+    _add_outer_products(M, columns, at)
+    return 1, M
+
+
+def _add_outer_products(M, vectors, at) -> None:
+    """M += v v^T for each sparse vector v, a {key: value} dict whose entry
+    at key lands at index at[key]."""
+    for v in vectors:
+        entries = [(at[key], x) for key, x in v.items()]
+        for a, x in entries:
+            Ma = M[a]
+            for b, y in entries:
+                Ma[b] += x * y
+
+
+def _unit_jordan(columns) -> tuple[list[dict[int, int]], list[dict[int, int]], list[int]]:
+    """The Gauss-Jordan reduction of gram_det_operand: (pivots, live, free).
+
+    B's rows are built from ``columns`` as {column position: value} dicts.
+    The next pivot is a +-1 of a live row in the column with the fewest nonzeros (pivot rows
+    included: the column is cleared from all of them), in the shortest such
+    row, then the lowest key. Each pivot row is returned without its pivot
+    entry, as a row of X up to sign; the live rows are the nonzero rows of C;
+    free lists the m - s columns that are not pivots. Neither kind of row
+    holds a pivot column.
+    """
+    heappop, heappush = heapq.heappop, heapq.heappush
+    rows: dict = {}
+    cols: list = []  # the rows holding each column; None once it is a pivot
+    for j, col in enumerate(columns):
+        cols.append(set(col))
+        for i, v in col.items():
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {j: v}
+            else:
+                row[j] = v
+    heap = [(len(rs), j) for j, rs in enumerate(cols)]
+    heapq.heapify(heap)
+    pivoted = set()
+    pivots = []
+    while heap:
+        count, c = heappop(heap)
+        col = cols[c]
+        if col is None or count != len(col):
+            continue  # a pivot's, or stale: the live count was pushed when it changed
+        r, best = None, 0
+        for i in col:
+            row = rows[i]
+            if i not in pivoted and row[c] in (1, -1):
+                size = len(row)
+                if r is None or size < best or (size == best and i < r):
+                    r, best = i, size
+        if r is None:
+            continue  # pushed again if a later step changes this column
+        prow = rows[r]
+        a = prow.pop(c)
+        if count > 1:  # else the column is the pivot row's alone: nothing to clear
+            others = prow.items()
+            for i in col:
+                if i == r:
+                    continue
+                row = rows[i]
+                f = row.pop(c) * a  # a * a = 1, so row[c] - f * a = 0
+                for j, v in others:
+                    fv = f * v
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -fv
+                        cols[j].add(i)
+                    elif x == fv:
+                        del row[j]
+                        cols[j].discard(i)
+                    else:
+                        row[j] = x - fv
+            for j in prow:
+                heappush(heap, (len(cols[j]), j))
+        cols[c] = None
+        pivoted.add(r)
+        pivots.append(prow)
+    live = [row for i, row in rows.items() if row and i not in pivoted]
+    return pivots, live, [j for j, rs in enumerate(cols) if rs is not None]
 
 
 def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -234,7 +234,7 @@ def run_layer_audit(cfg: ExperimentConfig):
     cells = n * n * group.order
     # n and |G| past their own bounds (random_cochain's C(n,2), add_table's
     # order) keep those messages; within them, the product is checked here,
-    # before add_table's |G|^2 loop and the first draw
+    # before the |G|^2 add_table and the first draw
     if cells > MAX_AUDIT_CELLS and math.comb(n, 2) <= MAX_BOUNDARY_EDGES and group.order <= MAX_TABLE_ORDER:
         raise ValueError(
             f"layer audit needs n^2 * |G| <= {MAX_AUDIT_CELLS} kernel cells; n = {n} over {group} has {cells}"

@@ -93,3 +93,29 @@ def test_trace_hooks_read_real_results():
         if attrs:
             counts = attrs(args, {}, getattr(module, attr)(*args))
             assert counts and all(isinstance(v, int) and v >= 0 for v in counts.values()), (attr, counts)
+
+
+def test_exact_avoidance_calls_bareiss_through_the_complexes_global(monkeypatch):
+    # the traced run replaces complexes.bareiss_det, and exact-scan's busy
+    # count is its order sum, so every exact avoidance call, whichever
+    # matrix it reduces to, must look bareiss_det up there
+    from cochainlab.cochains import cocycle_triangles, random_cochain
+    from cochainlab.groups import SymmetricDistribution
+    from cochainlab.lab.config import ExperimentConfig
+
+    orders = []
+    real = complexes.bareiss_det
+
+    def counting(M):
+        orders.append(len(M))
+        return real(M)
+
+    monkeypatch.setattr(complexes, "bareiss_det", counting)
+    nu = SymmetricDistribution.uniform(Group((2,)))
+    audit_set = cocycle_triangles(random_cochain(8, nu, ExperimentConfig(seed=3).replica_rng("layer", 8, 0)))
+    for Y in ([], complexes.all_triangles(8), audit_set):
+        before = len(orders)
+        complexes.avoidance_probability_exact(8, Y)
+        assert len(orders) == before + 1, Y
+    # the audit set takes the bordered matrix, smaller than r = C(7, 2)
+    assert orders[0] == orders[1] == 21 and orders[2] < 21, orders

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from cochainlab import complexes
 from cochainlab.cochains import Cochain, cocycle_triangles, edge_index, edge_list, random_cochain
 from cochainlab.complexes import (
     TwoComplex,
     _reduced_boundary,
-    _triangle_index_map,
     all_triangles,
     avoidance_probability_exact,
     build_kernel,
@@ -75,8 +76,6 @@ def test_all_triangles_count_and_index():
     tris = all_triangles(n)
     assert len(tris) == math.comb(n, 3)
     assert list(tris) == sorted(tris) and all(a < b < c for a, b, c in tris)
-    # the index avoidance_probability_exact reads its columns by
-    assert _triangle_index_map(n) == {t: i for i, t in enumerate(tris)}
 
 
 def test_triangle_edge_counts_oracle():
@@ -313,6 +312,103 @@ def test_expected_cocycle_count_exact_oracle():
     by_trees = sum(Fraction(t * t, mass) * count_cocycles(X, z2) for X, t in enumerate_hypertrees(5))
     assert by_trees == _expected_z2_cocycles_by_avoidance(5) == 16
     assert _expected_z2_cocycles_by_avoidance(6) == Fraction(7784, 243)
+
+
+def _dense_avoidance(n, Y) -> Fraction:
+    """Oracle: one Bareiss determinant of the r x r Gram matrix B_Y B_Y^T,
+    B_Y the reduced boundary's columns on the distinct faces of Y."""
+    index = {t: i for i, t in enumerate(all_triangles(n))}
+    BY = _reduced_boundary(n)[:, sorted({index[tuple(sorted(t))] for t in Y})]
+    return Fraction(bareiss_det(BY @ BY.T), n ** math.comb(n - 2, 2))
+
+
+@st.composite
+def _face_lists(draw):
+    """(n, Y): a random face subset at n = 3..10 at one of several densities,
+    or the empty or full set, listed with shuffled vertices and repeats."""
+    n = draw(st.integers(3, 10))
+    q = draw(st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.55, 0.7, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = [t for t in all_triangles(n) if q == 1.0 or rng.random() < q]
+    Y += [Y[i] for i in rng.integers(0, len(Y), size=len(Y) // 4)] if Y else []
+    return n, [tuple(rng.permutation(Y[i]).tolist()) for i in rng.permutation(len(Y))]
+
+
+def test_avoidance_matches_dense_gram_oracle(monkeypatch):
+    # the bordered unit-pivot determinant and the Gram determinant both equal
+    # the dense r x r Bareiss of B_Y B_Y^T, and both branches are exercised
+    branches = set()
+    real = complexes.bareiss_det
+
+    def spy(M):
+        assert len(M) <= r  # never larger than the Gram matrix
+        branches.add("gram" if len(M) == r else "bordered")
+        return real(M)
+
+    monkeypatch.setattr(complexes, "bareiss_det", spy)
+
+    @given(_face_lists())
+    def prop(case):
+        nonlocal r
+        n, Y = case
+        r = math.comb(n - 1, 2)
+        assert avoidance_probability_exact(n, Y) == _dense_avoidance(n, Y)
+
+    r = 0
+    prop()
+    assert branches == {"gram", "bordered"}
+
+
+def test_kalai_weighted_hypertree_count():
+    # det(B B^T) over the full skeleton is Kalai's sum of |H_1(T)|^2 over the
+    # hypertrees, n^C(n-2,2), so the full set has probability exactly 1
+    for n in range(3, 13):
+        assert avoidance_probability_exact(n, all_triangles(n)) == 1, n
+
+
+def test_containment_functions_check_the_face_set():
+    # every face needs three distinct integer vertices in 1..n, and the
+    # message names the face
+    functions = (
+        avoidance_probability_exact,
+        log_avoidance_probability_exact,
+        log_containment_upper_bound,
+        one_out_containment_probability,
+        triangle_edge_counts,
+    )
+    for bad, msg in (
+        ((1, 1, 2), r"triangle \(1, 1, 2\) needs three distinct vertices"),
+        ((1, 2), r"triangle \(1, 2\) needs three distinct vertices"),
+        ((1, 2, 3, 4), r"triangle \(1, 2, 3, 4\) needs three distinct vertices"),
+        ((0, 1, 2), r"triangle \(0, 1, 2\) out of range for n=4"),
+        ((2, 5, 1), r"triangle \(1, 2, 5\) out of range for n=4"),
+        ((1, 2, 3.0), r"triangle vertex 3.0 is not an integer, in triangle \(1, 2, 3.0\)"),
+        ((1, True, 3), r"triangle vertex True is not an integer, in triangle \(1, True, 3\)"),
+    ):
+        for f in functions:
+            with pytest.raises(ValueError, match=msg):
+                f(4, [(1, 2, 3), bad])
+    for f in functions:
+        with pytest.raises(ValueError, match="need n >= 3"):
+            f(2, [])
+    # B_Y B_Y^T is r x r: n is bounded as for the full skeleton's d2
+    assert avoidance_probability_exact(53, []) == 0
+    for n in (54, 1024):
+        with pytest.raises(ValueError, match=f"n = {n} with {math.comb(n, 3)} faces"):
+            avoidance_probability_exact(n, [])
+
+
+def test_containment_functions_read_a_set_of_faces():
+    # vertex order and repeated faces do not change any containment value
+    rng = np.random.default_rng(19)
+    n = 6
+    for _ in range(5):
+        Y = [t for t in all_triangles(n) if rng.random() < 0.6]
+        listed = [tuple(rng.permutation(t).tolist()) for t in Y + Y[:3]][::-1]
+        assert avoidance_probability_exact(n, listed) == avoidance_probability_exact(n, Y)
+        assert one_out_containment_probability(n, listed) == one_out_containment_probability(n, Y)
+        assert log_containment_upper_bound(n, listed) == log_containment_upper_bound(n, Y)
+        assert (triangle_edge_counts(n, listed) == triangle_edge_counts(n, Y)).all()
 
 
 def test_avoidance_extreme_sets():

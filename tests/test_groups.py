@@ -51,6 +51,25 @@ def test_add_table_matches_add():
             assert g.element(g.add_table[i, j]) == g.add(g.element(i), g.element(j))
 
 
+def _loop_add_table(g):
+    """Oracle: the |G|^2 Python loop of index(add(a, b))."""
+    tab = np.empty((g.order, g.order), dtype=np.intp)
+    for i, a in enumerate(g.elements):
+        for j, b in enumerate(g.elements):
+            tab[i, j] = g.index(g.add(a, b))
+    return tab
+
+
+@pytest.mark.parametrize(
+    "moduli", [(2,), (3,), (4,), (2, 2), (3, 4, 2), (512,), (2,) * 9], ids=str
+)
+def test_add_table_matches_the_loop(moduli):
+    g = Group(moduli)
+    tab = g.add_table
+    assert tab.dtype == np.intp and tab.shape == (g.order, g.order)
+    assert np.array_equal(tab, _loop_add_table(g))
+
+
 def test_label_roundtrip():
     g = Group((2, 5))
     for i in range(g.order):

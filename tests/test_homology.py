@@ -31,6 +31,7 @@ from cochainlab.homology import (
     count_cocycles,
     cycle_space_dim,
     dim_h1_mod_p,
+    gram_det_operand,
     dim_z1_mod_p,
     homology_report,
     is_prime,
@@ -175,6 +176,38 @@ def test_bareiss_matches_numpy_det():
 def test_bareiss_singular():
     M = np.array([[1, 2], [2, 4]], dtype=object)
     assert bareiss_det(M) == 0
+
+
+def test_bareiss_takes_rows_of_big_ints():
+    # rows of Python ints go in as they are: numpy would read 2^63 as a float
+    assert bareiss_det([[2**63, 1], [1, 1]]) == 2**63 - 1
+    assert bareiss_det([[2**70, 3], [5, 2**70]]) == 2**140 - 15
+
+
+def _gram(columns, r):
+    B = np.zeros((r, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            B[i, j] = v
+    return bareiss_det(B @ B.T)
+
+
+def test_gram_det_operand_order_rule():
+    # the bordered matrix has order m + r - 2s and is taken only when that is
+    # below r; with too few +-1 pivots, or m >= 2r, M is B B^T itself
+    r = 3
+    cases = [
+        ([{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3 + 3 - 2 * 2, 0),  # rank 2
+        ([{0: 1}, {1: 1}], 2 + 3 - 2 * 2, 0),  # row 2 is zero
+        ([{0: 1}, {1: 1}, {2: 1}, {0: 1, 1: 1}], 4 + 3 - 2 * 3, 3),
+        ([{0: 2}, {1: 2}, {2: 2}], 3, 64),  # no unit pivot: s = 0
+        ([{i: 1} for i in (0, 1, 2, 0, 1, 2)], 3, 8),  # m = 2r: not reduced
+        ([], 3, 0),
+    ]
+    for columns, order, det in cases:
+        sign, M = gram_det_operand(columns, r)
+        assert len(M) == order, columns
+        assert sign * bareiss_det(M) == _gram(columns, r) == det, columns
 
 
 def test_snf_of_diagonal():
