@@ -8,6 +8,7 @@ reversed pairs.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,7 +16,12 @@ import numpy as np
 
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
-from .homology import MAX_BOUNDARY_EDGES
+from .homology import MAX_BOUNDARY_EDGES, face_edges
+
+# cocycle_triangles gathers over all C(n,3) triangles, with their edge
+# indices cached per n (24 bytes a triangle), so C(n,3) is bounded as the
+# Linial-Meshulam triangle list is (n <= 185)
+MAX_COCYCLE_TRIANGLES = 1 << 20
 
 
 @lru_cache(maxsize=16)
@@ -26,6 +32,25 @@ def edge_list(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=16)
 def _edge_index_map(n: int) -> dict:
     return {e: i for i, e in enumerate(edge_list(n))}
+
+
+@lru_cache(maxsize=16)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints (u < v) of every edge, in edge_list order: the
+    row-major upper triangle. Cached read-only, 16 bytes per edge."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+@lru_cache(maxsize=4)
+def _triangle_edges(n: int) -> np.ndarray:
+    """(3, C(n,3)) edge indices (uv, uw, vw) of every triangle u < v < w,
+    in lexicographic order (homology.face_edges); cached read-only."""
+    faces = itertools.combinations(range(1, n + 1), 3)
+    E = np.array(face_edges(n, faces), dtype=np.intp).reshape(-1, 3).T.copy()
+    E.flags.writeable = False
+    return E
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -67,26 +92,14 @@ class Cochain:
 
     def label_matrix(self) -> np.ndarray:
         """(n, n) matrix of label indices, 0-based vertices; diagonal is 0
-        and must be masked out by callers."""
+        and must be masked out by callers. One scatter of the labels through
+        the cached upper-triangle indices, and of their negations below."""
         n = self.n
+        iu, ju = _triu(n)
         M = np.zeros((n, n), dtype=np.intp)
-        neg = self.group.neg_perm
-        for i, (u, v) in enumerate(edge_list(n)):
-            M[u - 1, v - 1] = self.labels[i]
-            M[v - 1, u - 1] = neg[self.labels[i]]
+        M[iu, ju] = self.labels
+        M[ju, iu] = self.group.neg_perm[self.labels]
         return M
-
-    def permute(self, pi) -> "Cochain":
-        """Relabels vertices: result(u, v) = self(pi(u), pi(v)).
-
-        pi is a sequence of length n with pi[u - 1] the 1-based image of u."""
-        pi = [int(x) for x in pi]
-        if sorted(pi) != list(range(1, self.n + 1)):
-            raise ValueError("pi must be a permutation of 1..n")
-        new = np.empty_like(self.labels)
-        for i, (u, v) in enumerate(edge_list(self.n)):
-            new[i] = self.index_value(pi[u - 1], pi[v - 1])
-        return Cochain(self.group, self.n, new)
 
     def __eq__(self, other):
         return (
@@ -131,15 +144,22 @@ def path_counts(f: Cochain) -> np.ndarray:
 
 def cocycle_triangles(f: Cochain) -> tuple[tuple[int, int, int], ...]:
     """Triangles {u < v < w} whose cyclic label sum vanishes, i.e.
-    f(u, v) + f(v, w) = f(u, w)."""
+    f(u, v) + f(v, w) = f(u, w), in lexicographic order.
+
+    One gather over every triangle's edges (_triangle_edges): each edge is
+    stored as u < v, so its label is read with no negation."""
     n = f.n
-    M = f.label_matrix()
-    tab = f.group.add_table
-    out = []
-    for u, v, w in itertools.combinations(range(n), 3):
-        if tab[M[u, v], M[v, w]] == M[u, w]:
-            out.append((u + 1, v + 1, w + 1))
-    return tuple(out)
+    F = math.comb(n, 3)
+    if F > MAX_COCYCLE_TRIANGLES:
+        raise ValueError(
+            f"cocycle triangles need C(n,3) <= {MAX_COCYCLE_TRIANGLES} triangles; n = {n} has {F}"
+        )
+    uv, uw, vw = _triangle_edges(n)
+    labels = f.labels
+    hit = f.group.add_table[labels[uv], labels[vw]] == labels[uw]
+    iu, ju = _triu(n)
+    first, last = uv[hit], uw[hit]
+    return tuple(zip((iu[first] + 1).tolist(), (ju[first] + 1).tolist(), (ju[last] + 1).tolist()))
 
 
 def triangle_support_counts(f: Cochain) -> np.ndarray:
@@ -159,9 +179,10 @@ def triangle_support_counts(f: Cochain) -> np.ndarray:
 
 def embed_graphon(f: Cochain, exact: bool = False) -> StepKernel:
     """Step kernel of the cochain: n equal parts, indicator values
-    1{f(u, v) = g} off the diagonal, all-zero diagonal blocks."""
+    1{f(u, v) = g} off the diagonal, all-zero diagonal blocks. One scatter
+    of the ones above the diagonal at the labels and below it at their
+    negations, in float or Fraction values alike."""
     n, order = f.n, f.group.order
-    M = f.label_matrix()
     if exact:
         vals = np.empty((n, n, order), dtype=object)
         vals[...] = Fraction(0)
@@ -171,8 +192,7 @@ def embed_graphon(f: Cochain, exact: bool = False) -> StepKernel:
         vals = np.zeros((n, n, order))
         one = 1.0
         measures = [1.0 / n] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                vals[u, v, M[u, v]] = one
+    iu, ju = _triu(n)
+    vals[iu, ju, f.labels] = one
+    vals[ju, iu, f.group.neg_perm[f.labels]] = one
     return StepKernel(f.group, measures, vals)

@@ -89,19 +89,35 @@ def _vertex(v) -> int:
     raise ValueError(f"triangle vertex {v!r} is not an integer")
 
 
+def _plain_int_faces(faces) -> bool:
+    """Every face a tuple or list, and every vertex of type int exactly."""
+    return set(map(type, faces)) <= {tuple, list} and set(
+        map(type, itertools.chain.from_iterable(faces))
+    ) <= {int}
+
+
 def face_set(n: int, triangles) -> tuple[tuple[int, int, int], ...]:
     """The face set Y as sorted distinct triples: the one check on faces, for
     TwoComplex and the containment functions. Each face must have three
     distinct integer vertices in 1..n (ValueError naming the face); vertex
-    order and repeated faces do not matter."""
+    order and repeated faces do not matter.
+
+    When every face is a tuple or list of plain ints, as the samplers and
+    cocycle_triangles give, the faces are sorted with no per-vertex call;
+    any other vertex (bool, float, numpy integer, ...) goes through _vertex
+    in face order, so the first bad vertex is named as before."""
     if n < 3:
         raise ValueError("need n >= 3")
-    norm = set()
-    for face in triangles:
-        try:
-            norm.add(tuple(sorted(map(_vertex, face))))
-        except ValueError as err:
-            raise ValueError(f"{err}, in triangle {tuple(face)}") from None
+    faces = triangles if isinstance(triangles, (tuple, list)) else list(triangles)
+    if _plain_int_faces(faces):
+        norm = set(map(tuple, map(sorted, faces)))
+    else:
+        norm = set()
+        for face in faces:
+            try:
+                norm.add(tuple(sorted(map(_vertex, face))))
+            except ValueError as err:
+                raise ValueError(f"{err}, in triangle {tuple(face)}") from None
     faces = sorted(norm)
     for t in faces:
         if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:

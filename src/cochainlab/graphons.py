@@ -16,6 +16,7 @@ import math
 import os
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,19 +161,25 @@ def mirror_canonical(group: Group, values: np.ndarray) -> np.ndarray:
     """Forces values[j, i, -g] = values[i, j, g] by copying canonical entries:
     i < j always, and on the diagonal the lexicographically smaller of (g, -g).
     A mathematical no-op for symmetric data; removes float-order asymmetry.
+    One gather through the cached _mirror_index of the shape and group.
     """
+    return values.reshape(-1)[_mirror_index(values.shape[0], group)]
+
+
+@lru_cache(maxsize=4)
+def _mirror_index(k: int, group: Group) -> np.ndarray:
+    """Flat source cell of every cell (i, j, g) of a (k, k, |G|) slab under
+    mirror_canonical: (i, j, g) above the diagonal, (j, i, -g) below it and
+    (i, i, min(g, -g)) on it. Cached read-only, 8 bytes a cell."""
+    order = group.order
     neg = group.neg_perm
-    out = values.copy()
-    k = values.shape[0]
-    for g in range(group.order):
-        ng = int(neg[g])
-        for i in range(k):
-            for j in range(i, k):
-                if i == j and ng < g:
-                    out[i, i, g] = out[i, i, ng]
-                elif i < j:
-                    out[j, i, ng] = out[i, j, g]
-    return out
+    g = np.arange(order)
+    i = np.arange(k)[:, None, None]
+    j = np.arange(k)[None, :, None]
+    source_g = np.where(i < j, g, np.where(i > j, neg, np.minimum(g, neg)))
+    idx = (np.minimum(i, j) * k + np.maximum(i, j)) * order + source_g
+    idx.flags.writeable = False
+    return idx
 
 
 def constant_kernel(group: Group, nu: SymmetricDistribution, k: int = 1) -> StepKernel:
@@ -561,22 +568,42 @@ def _integer_factors(Vr: StepKernel, Wr: StepKernel):
     return A, B, (r * M)[:, None] * c[None, :]
 
 
+def _self_refinement(V: StepKernel) -> StepKernel:
+    """What refine_pair(V, V) returns for both kernels, without the merge:
+    the parts stay, and each part measure is re-read as the difference of
+    consecutive boundaries, which in floats is not always bit-equal to V's.
+    The first part keeps its measure, as b_1 - 0 = b_1."""
+    cuts = np.cumsum(V.measures)
+    measures = np.concatenate((cuts[:1], cuts[1:] - cuts[:-1]))
+    return StepKernel(V.group, measures, V.values, _validate=False)
+
+
+def _within_sym_tol(sym: np.ndarray, out: np.ndarray) -> bool:
+    """np.allclose(sym, out, rtol=0, atol=CONVOLVE_SYM_TOL) without its
+    set-up: every cell equal (an infinity equals itself) or within the
+    tolerance; a NaN is close to nothing."""
+    with np.errstate(invalid="ignore"):
+        return bool(((sym == out) | (np.abs(sym - out) <= CONVOLVE_SYM_TOL)).all())
+
+
 def convolve(V: StepKernel, W: StepKernel | None = None) -> StepKernel:
     """Kernel convolution (V * W)^g = sum_h V^h o W^{g - h} with the measure
     weight on the inner coordinate.
 
-    Self-convolution (W = None or W is V) is always symmetric. For distinct
-    kernels symmetry requires V * W = W * V; the result is checked and a
-    ValueError raised for non-commuting pairs, since the symmetric-kernel
-    contract cannot hold for them.
+    Self-convolution (W = None or W is V) is always symmetric; it skips
+    refine_pair and takes _self_refinement, the same measures and values.
+    For distinct kernels symmetry requires V * W = W * V; the result is
+    checked and a ValueError raised for non-commuting pairs, since the
+    symmetric-kernel contract cannot hold for them.
 
     Exact kernels are scaled to integers over row and column common
     denominators (see _integer_factors): each (g, h) product is one
     Python-int matmul, and each cell is divided once at the end.
     """
-    if W is None:
-        W = V
-    Vr, Wr = refine_pair(V, W)
+    if W is None or W is V:
+        Vr = Wr = _self_refinement(V)
+    else:
+        Vr, Wr = refine_pair(V, W)
     grp = Vr.group
     mu = Vr.measures
     if Vr.exact:
@@ -584,12 +611,12 @@ def convolve(V: StepKernel, W: StepKernel | None = None) -> StepKernel:
     else:
         weighted, right = Vr.values * mu[None, :, None], Wr.values
     order = grp.order
+    sub = grp.add_table[:, grp.neg_perm]  # sub[g, h] = index(g - h)
     out = np.empty_like(weighted)
     for g in range(order):
-        # sum over h of V^h @ W^{g-h}; g-h read from the group table
-        acc = weighted[:, :, 0] @ right[:, :, _sub_index(grp, g, 0)]
+        acc = weighted[:, :, 0] @ right[:, :, sub[g, 0]]
         for h in range(1, order):
-            acc = acc + weighted[:, :, h] @ right[:, :, _sub_index(grp, g, h)]
+            acc = acc + weighted[:, :, h] @ right[:, :, sub[g, h]]
         out[:, :, g] = acc
     if Vr.exact:
         out = _fraction(out, dens[:, :, None])
@@ -597,15 +624,9 @@ def convolve(V: StepKernel, W: StepKernel | None = None) -> StepKernel:
     if Vr.exact:
         if not np.array_equal(sym, out):
             raise ValueError("convolution of non-commuting kernels is not symmetric")
-    else:
-        if not np.allclose(sym, out, rtol=0, atol=CONVOLVE_SYM_TOL):
-            raise ValueError("convolution of non-commuting kernels is not symmetric")
+    elif not _within_sym_tol(sym, out):
+        raise ValueError("convolution of non-commuting kernels is not symmetric")
     return StepKernel(grp, mu, sym, _validate=False)
-
-
-def _sub_index(group: Group, g: int, h: int) -> int:
-    """Index of element(g) - element(h)."""
-    return int(group.add_table[g, group.neg_perm[h]])
 
 
 # ---------------------------------------------------------------------------

@@ -67,24 +67,32 @@ MAX_BOUNDARY_EDGES = 1 << 19
 MAX_BOUNDARY_CELLS = 1 << 25
 
 
-def _check_boundary_size(n: int, num_faces: int) -> None:
-    """Both size bounds of d2."""
+def _check_edges(n: int) -> None:
+    """The edge bound of d2: C(n,2) rows."""
     E = n * (n - 1) // 2
     if E > MAX_BOUNDARY_EDGES:
         raise ValueError(
             f"boundary matrix needs C(n,2) <= {MAX_BOUNDARY_EDGES} edge rows; n = {n} has {E}"
         )
-    if E * num_faces > MAX_BOUNDARY_CELLS:
+
+
+def _check_boundary_size(n: int, num_faces: int) -> None:
+    """Both size bounds of d2."""
+    _check_edges(n)
+    cells = n * (n - 1) // 2 * num_faces
+    if cells > MAX_BOUNDARY_CELLS:
         raise ValueError(
             f"boundary matrix needs C(n,2) x faces <= {MAX_BOUNDARY_CELLS} cells;"
-            f" n = {n} with {num_faces} faces has {E * num_faces}"
+            f" n = {n} with {num_faces} faces has {cells}"
         )
 
 
 def face_edges(n: int, triangles) -> list[tuple[int, int, int]]:
     """The lexicographic edge indices (uv, uw, vw) of each face (u < v < w):
-    its column of d2 has +1, -1, +1 there, and they increase in that order."""
-    _check_boundary_size(n, len(triangles))
+    its column of d2 has +1, -1, +1 there, and they increase in that order.
+    It builds only this map, three indices a face, so it checks only the
+    edge bound; the callers that build d2 or its rows check the cells."""
+    _check_edges(n)
     # edge (a < b) has index (a - 1)(2n - a)/2 + b - a - 1 = off[a] + b
     off = [(a - 1) * (2 * n - a) // 2 - a - 1 for a in range(n + 1)]
     return [(off[u] + v, off[u] + w, off[v] + w) for u, v, w in triangles]
@@ -94,6 +102,7 @@ def boundary_matrices(X) -> np.ndarray:
     """The dense int64 triangle boundary d2 of X, (C(n,2), faces): column j
     has +1, -1, +1 at face j's face_edges. The vertex-by-edge incidence d1 is
     not built; d1 @ d2 = 0 is checked in the tests."""
+    _check_boundary_size(X.n, len(X.triangles))
     edges = np.array(face_edges(X.n, X.triangles), dtype=np.intp).reshape(-1, 3)
     d2 = np.zeros((X.n * (X.n - 1) // 2, len(edges)), dtype=np.int64)
     d2[edges, np.arange(len(edges))[:, None]] = (1, -1, 1)
@@ -106,7 +115,9 @@ def boundary_matrices(X) -> np.ndarray:
 def _face_rows(X) -> list[dict[int, int]]:
     """The rows of d2^T, one per face, straight from the face list. Rank and
     Smith normal form are transpose invariant, so the complex paths never
-    build the dense d2."""
+    build the dense d2. It keeps d2's size bounds, so every homology entry
+    point accepts the same complexes."""
+    _check_boundary_size(X.n, len(X.triangles))
     return [{a: 1, b: -1, c: 1} for a, b, c in face_edges(X.n, X.triangles)]
 
 

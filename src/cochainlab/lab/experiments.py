@@ -55,7 +55,9 @@ AUDIT_SLACK_TOL = 1e-9
 
 # largest n^2 * |G| a layer audit accepts: embed_graphon's kernel and each
 # array b_functional builds hold that many floats. It admits --n 1024 over
-# Z/2, 16 MB per array and about 226 MB at peak
+# Z/2, 16 MB per array and about 200 MB at peak, with the cached index
+# arrays of the sample path: 8 MB of edge endpoints (cochains._triu) and
+# 16 MB of mirror sources (graphons._mirror_index)
 MAX_AUDIT_CELLS = 1 << 21
 
 

@@ -40,10 +40,6 @@ class Partition:
         object.__setattr__(self, "blocks", norm)
 
     @classmethod
-    def singletons(cls, size: int) -> "Partition":
-        return cls(size, [(i,) for i in range(size)])
-
-    @classmethod
     def single_block(cls, size: int) -> "Partition":
         return cls(size, [tuple(range(size))])
 
@@ -69,10 +65,6 @@ class Partition:
                 cells.setdefault(key, []).append(x)
             new.extend(cells.values())
         return Partition(self.size, new)
-
-    def is_refinement_of(self, other: "Partition") -> bool:
-        idx = other.block_index()
-        return all(len({idx[x] for x in b}) == 1 for b in self.blocks)
 
     def to_json_dict(self) -> dict:
         return {"size": self.size, "blocks": [list(b) for b in self.blocks]}

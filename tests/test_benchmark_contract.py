@@ -119,3 +119,46 @@ def test_exact_avoidance_calls_bareiss_through_the_complexes_global(monkeypatch)
         assert len(orders) == before + 1, Y
     # the audit set takes the bordered matrix, smaller than r = C(7, 2)
     assert orders[0] == orders[1] == 21 and orders[2] < 21, orders
+
+
+def test_audit_b_and_cocycle_triangles_go_through_module_globals(monkeypatch):
+    # the traced run replaces graphons.convolve, and its convolve.float span
+    # is the audit's self-convolution: b_functional must look convolve up
+    # there, once per b, with a float kernel. run_layer_audit must reach
+    # the other traced audit stages through globals the tracer patches.
+    import sys
+
+    from cochainlab import cochains
+    from cochainlab.groups import SymmetricDistribution
+    from cochainlab.lab.config import ExperimentConfig
+    from cochainlab.lab.experiments import run_layer_audit
+
+    calls = []
+    real_convolve = graphons.convolve
+
+    def spy(V, W=None):
+        calls.append((V.exact, W))
+        return real_convolve(V, W)
+
+    monkeypatch.setattr(graphons, "convolve", spy)
+    nu = SymmetricDistribution.uniform(Group((2,)))
+    f = cochains.random_cochain(8, nu, ExperimentConfig(seed=3).replica_rng("layer", 8, 0))
+    graphons.b_functional(cochains.embed_graphon(f))
+    assert calls == [(False, None)]
+
+    counts = {}
+    for module, attr in ((cochains, "embed_graphon"), (graphons, "b_functional"), (cochains, "cocycle_triangles")):
+        original = getattr(module, attr)
+
+        def counting(*args, _attr=attr, _original=original, **kwargs):
+            counts[_attr] = counts.get(_attr, 0) + 1
+            return _original(*args, **kwargs)
+
+        # as Tracer.installed does: every cochainlab module bound to it
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "cochainlab" and getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, counting)
+    cfg = ExperimentConfig(seed=3, n_values=(8,), samples=5, group=Group((2,)), layers=10)
+    table, audit = run_layer_audit(cfg)
+    assert counts == {"embed_graphon": 5, "b_functional": 5, "cocycle_triangles": 5}
+    assert audit["audited"] == 5

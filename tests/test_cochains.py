@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from cochainlab.cochains import (
+    MAX_COCYCLE_TRIANGLES,
     Cochain,
     cocycle_triangles,
     edge_index,
@@ -17,6 +21,15 @@ from cochainlab.groups import Group, SymmetricDistribution
 
 def _uniform(moduli):
     return SymmetricDistribution.uniform(Group(moduli))
+
+
+def permute(f: Cochain, pi) -> Cochain:
+    """Relabels vertices: result(u, v) = f(pi(u), pi(v)); pi[u - 1] is the
+    1-based image of u."""
+    pi = [int(x) for x in pi]
+    if sorted(pi) != list(range(1, f.n + 1)):
+        raise ValueError("pi must be a permutation of 1..n")
+    return Cochain(f.group, f.n, [f.index_value(pi[u - 1], pi[v - 1]) for u, v in edge_list(f.n)])
 
 
 def test_edge_list_order_and_index():
@@ -56,7 +69,7 @@ def test_permute_relabels_vertices():
     rng = np.random.default_rng(2)
     f = random_cochain(6, nu, rng)
     pi = list(np.random.default_rng(3).permutation(6) + 1)
-    h = f.permute(pi)
+    h = permute(f, pi)
     for u, v in edge_list(6):
         assert h.value(u, v) == f.value(pi[u - 1], pi[v - 1])
 
@@ -154,3 +167,80 @@ def test_cochain_rejects_bad_labels():
         Cochain(g, 4, np.array([0, 1, 2, 0, 1, 0]))  # 2 out of range
     with pytest.raises(ValueError):
         Cochain(g, 4, np.zeros(5, dtype=np.intp))  # wrong length
+
+
+# --------------------------------------------------------------------------
+# the per-cell loops the array passes replaced, kept as oracles
+
+ORACLE_GROUPS = [(2,), (3,), (4,), (2, 2), (3, 4), (12,), (2, 2, 2)]
+
+
+def _oracle_label_matrix(f):
+    n = f.n
+    M = np.zeros((n, n), dtype=np.intp)
+    neg = f.group.neg_perm
+    for i, (u, v) in enumerate(edge_list(n)):
+        M[u - 1, v - 1] = f.labels[i]
+        M[v - 1, u - 1] = neg[f.labels[i]]
+    return M
+
+
+def _oracle_embed_values(f, exact):
+    n, order = f.n, f.group.order
+    M = _oracle_label_matrix(f)
+    if exact:
+        vals = np.empty((n, n, order), dtype=object)
+        vals[...] = Fraction(0)
+        one = Fraction(1)
+    else:
+        vals = np.zeros((n, n, order))
+        one = 1.0
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                vals[u, v, M[u, v]] = one
+    return vals
+
+
+def _oracle_cocycle_triangles(f):
+    M = _oracle_label_matrix(f)
+    tab = f.group.add_table
+    return tuple(
+        (u + 1, v + 1, w + 1)
+        for u, v, w in itertools.combinations(range(f.n), 3)
+        if tab[M[u, v], M[v, w]] == M[u, w]
+    )
+
+
+def _oracle_cochains():
+    for moduli in ORACLE_GROUPS:
+        nu = _uniform(moduli)
+        for n in range(3, 21):
+            yield random_cochain(n, nu, np.random.default_rng([n, nu.group.order, len(moduli)]))
+
+
+def test_array_passes_match_the_loops():
+    # byte for byte: tobytes() on the int and float arrays, == and the type
+    # of every cell on the Fraction slab, the very tuples of Python ints
+    for f in _oracle_cochains():
+        assert f.label_matrix().tobytes() == _oracle_label_matrix(f).tobytes()
+        W = embed_graphon(f)
+        assert W.values.tobytes() == _oracle_embed_values(f, exact=False).tobytes()
+        assert W.measures.tobytes() == np.array([1.0 / f.n] * f.n).tobytes()
+        Y = cocycle_triangles(f)
+        assert Y == _oracle_cocycle_triangles(f)
+        assert all(type(v) is int for t in Y for v in t)
+        if f.n <= 12:
+            We = embed_graphon(f, exact=True)
+            oracle = _oracle_embed_values(f, exact=True)
+            assert We.values.tolist() == oracle.tolist()
+            assert all(type(v) is Fraction for v in We.values.flat)
+            assert list(We.measures) == [Fraction(1, f.n)] * f.n
+
+
+def test_cocycle_triangles_bound():
+    n = 186  # the first n with C(n,3) above the bound
+    assert math.comb(n - 1, 3) <= MAX_COCYCLE_TRIANGLES < math.comb(n, 3)
+    f = Cochain(Group((2,)), n, np.zeros(n * (n - 1) // 2, dtype=np.intp))
+    with pytest.raises(ValueError, match=r"C\(n,3\) <= 1048576 triangles; n = 186 has 1055240"):
+        cocycle_triangles(f)

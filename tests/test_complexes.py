@@ -398,6 +398,71 @@ def test_containment_functions_check_the_face_set():
             avoidance_probability_exact(n, [])
 
 
+def _oracle_face_set(n, triangles):
+    """face_set's per-vertex loop: every vertex through _vertex."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    norm = set()
+    for face in triangles:
+        try:
+            norm.add(tuple(sorted(map(complexes._vertex, face))))
+        except ValueError as err:
+            raise ValueError(f"{err}, in triangle {tuple(face)}") from None
+    faces = sorted(norm)
+    for t in faces:
+        if len(t) != 3 or t[0] == t[1] or t[1] == t[2]:
+            raise ValueError(f"triangle {t} needs three distinct vertices")
+        if t[0] < 1 or t[2] > n:
+            raise ValueError(f"triangle {t} out of range for n={n}")
+    return tuple(faces)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (ValueError, TypeError) as err:
+        return type(err).__name__, str(err)
+
+
+def test_face_set_matches_the_vertex_loop():
+    rng = np.random.default_rng(23)
+    nu = SymmetricDistribution.uniform(Group((3,)))
+    cases = []
+    for n in range(3, 21):
+        Y = cocycle_triangles(random_cochain(n, nu, rng))
+        cases += [(n, Y), (n, list(Y)), (n, [list(rng.permutation(t).tolist()) for t in Y + Y[:2]])]
+        assert complexes.face_set(n, iter(Y)) == _oracle_face_set(n, Y)  # a one-shot iterable
+    odd = [
+        (2, True, 3), (1, 2.0, 3), (1, 2.5, 3), (np.int64(1), 2, 3), (1, np.int32(2), np.int8(3)),
+        (1, "2", 3), (1, 2), (1, 2, 2), (0, 1, 2), (1, 2, 9), np.array([3, 1, 2]), [1, 2, 3, 4], 7,
+    ]
+    for bad in odd:
+        for pos in (0, 1, 3):
+            faces = [(1, 2, 3), (2, 3, 4), (1, 3, 4)]
+            faces.insert(pos, bad)
+            cases.append((5, faces))
+            cases.append((5, tuple(faces)))
+    cases += [(5, []), (2, [(1, 2, 3)]), (5, [(True, 2, 3), 7])]
+    seen = set()
+    for n, triangles in cases:
+        kind, result = _outcome(complexes.face_set, n, triangles)
+        assert (kind, result) == _outcome(_oracle_face_set, n, triangles), (n, triangles)
+        if kind == "ok":
+            assert all(type(v) is int for t in result for v in t)
+        seen.add(kind)
+    assert seen == {"ok", "ValueError", "TypeError"}
+
+
+def test_projection_kernel_past_the_boundary_cell_bound():
+    # face_edges builds only an F x 3 map, so the dense-d2 cell bound
+    # (C(60,2) x C(60,3) = 60,569,400 cells) does not stop the kernel
+    kern = complexes.ProjectionKernel(60)
+    assert kern.edges.shape == (34220, 3)
+    assert kern.edges[-1].tolist() == [edge_index(60, 58, 59), edge_index(60, 58, 60), edge_index(60, 59, 60)]
+    with pytest.raises(ValueError, match="hypertree sampler capped at n = 50"):
+        build_kernel(60)
+
+
 def test_containment_functions_read_a_set_of_faces():
     # vertex order and repeated faces do not change any containment value
     rng = np.random.default_rng(19)

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from cochainlab import graphons
 from cochainlab.cli import main
-from cochainlab.cochains import embed_graphon, path_counts, random_cochain
+from cochainlab.cochains import Cochain, edge_list, embed_graphon, path_counts, random_cochain
 from cochainlab.graphons import (
+    CONVOLVE_SYM_TOL,
     CutNormTooLarge,
     StepKernel,
     b_functional,
@@ -47,6 +48,10 @@ from cochainlab.serialize import dump_json, dumps_json, kernel_to_json_dict
 
 def _uniform(moduli):
     return SymmetricDistribution.uniform(Group(moduli))
+
+
+# the groups the array passes are checked over against their loops
+ORACLE_GROUPS = [(2,), (3,), (4,), (2, 2), (3, 4), (12,), (2, 2, 2)]
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +112,25 @@ def test_mirror_canonical_idempotent():
     for gi in range(4):
         assert np.allclose(sym[:, :, gi], sym[:, :, neg[gi]].T)
     assert np.allclose(mirror_canonical(g, sym), sym)
+
+
+def test_mirror_canonical_matches_the_loop_on_asymmetric_input():
+    # every cell comes from the same source cell: equal bytes on floats,
+    # the very same objects on Fraction slabs
+    for moduli in ORACLE_GROUPS:
+        g = Group(moduli)
+        for k in range(1, 21):
+            rng = np.random.default_rng([k, g.order, len(moduli)])
+            raw = rng.random((k, k, g.order))
+            assert mirror_canonical(g, raw).tobytes() == _oracle_mirror(g, raw).tobytes()
+            view = raw.transpose(1, 0, 2)  # not C-contiguous
+            assert mirror_canonical(g, view).tobytes() == _oracle_mirror(g, view).tobytes()
+            if k <= 6:
+                nums = rng.integers(-50, 50, size=raw.size)
+                frac = np.array([Fraction(int(x), 7) for x in nums], dtype=object).reshape(raw.shape)
+                new, old = mirror_canonical(g, frac), _oracle_mirror(g, frac)
+                assert new.dtype == object
+                assert all(a is b for a, b in zip(new.flat, old.flat))
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +356,8 @@ def test_cut_distance_zero_for_relabeled_kernel():
     g = Group((2,))
     f = random_cochain(5, SymmetricDistribution.uniform(g), rng)
     W = embed_graphon(f)
-    V = embed_graphon(f.permute([3, 1, 4, 5, 2]))
+    pi = [3, 1, 4, 5, 2]  # V(u, v) = f(pi(u), pi(v))
+    V = embed_graphon(Cochain(g, 5, [f.index_value(pi[u - 1], pi[v - 1]) for u, v in edge_list(5)]))
     lower, upper = cut_distance_bounds(V, W)
     assert lower <= 1e-12
     assert upper <= 1e-12
@@ -422,8 +447,8 @@ def test_self_convolution_stays_symmetric():
 # exact convolution against the Fraction oracle
 
 def _fraction_convolve(V, W=None):
-    """Oracle for exact convolve: the Fraction matmul of every (g, h) term on
-    the common refinement, unmirrored. Returns (measures, values)."""
+    """Oracle for convolve: the Fraction (or float) matmul of every (g, h)
+    term on the common refinement, unmirrored. Returns (measures, values)."""
     if W is None:
         W = V
     Vr, Wr = refine_pair(V, W)
@@ -437,6 +462,30 @@ def _fraction_convolve(V, W=None):
             acc = acc + weighted[:, :, h] @ Wr.values[:, :, sub[h]]
         out[:, :, g] = acc
     return Vr.measures, out
+
+
+def _oracle_mirror(group, values):
+    """mirror_canonical's per-cell loop."""
+    neg = group.neg_perm
+    out = values.copy()
+    k = values.shape[0]
+    for g in range(group.order):
+        ng = int(neg[g])
+        for i in range(k):
+            for j in range(i, k):
+                if i == j and ng < g:
+                    out[i, i, g] = out[i, i, ng]
+                elif i < j:
+                    out[j, i, ng] = out[i, j, g]
+    return out
+
+
+def _oracle_self_convolve(V):
+    """Float self-convolution through refine_pair(V, V) and the mirror loop."""
+    measures, values = _fraction_convolve(V)
+    sym = _oracle_mirror(V.group, values)
+    assert np.allclose(sym, values, rtol=0, atol=CONVOLVE_SYM_TOL)
+    return StepKernel(V.group, measures, sym, _validate=False)
 
 
 def _assert_matches_oracle(V, W=None):
@@ -548,6 +597,54 @@ def _exact_kernels(draw):
         vals[idx] = Fraction(a, b)
     measures = [Fraction(w, sum(weights)) for w in weights]
     return StepKernel(group, measures, mirror_canonical(group, vals))
+
+
+def test_float_self_convolution_matches_refine_pair():
+    # convolve(W) skips refine_pair(W, W) but keeps its measures, the
+    # differences of the cumulative sums, which are not always W's own bits
+    remeasured = 0
+    for moduli in ORACLE_GROUPS:
+        g = Group(moduli)
+        for k in range(1, 9):
+            W = random_w00(g, k, np.random.default_rng([41, k, g.order, len(moduli)]))
+            oracle = _oracle_self_convolve(W)
+            for C in (convolve(W), convolve(W, W)):
+                assert C.measures.tobytes() == oracle.measures.tobytes()
+                assert C.values.tobytes() == oracle.values.tobytes()
+            remeasured += C.measures.tobytes() != W.measures.tobytes()
+            with mock.patch.object(graphons, "convolve", _oracle_self_convolve):
+                b_oracle = b_functional(W)
+            assert b_functional(W).hex() == b_oracle.hex()
+    assert remeasured > 0  # the oracle's measures do differ from W's somewhere
+
+
+def test_b_of_embedded_cochains_matches_refine_pair():
+    for moduli in ORACLE_GROUPS:
+        nu = _uniform(moduli)
+        for n in range(3, 21):
+            W = embed_graphon(random_cochain(n, nu, np.random.default_rng([42, n, nu.group.order])))
+            with mock.patch.object(graphons, "convolve", _oracle_self_convolve):
+                b_oracle = b_functional(W)
+            assert b_functional(W).hex() == b_oracle.hex()
+
+
+_SPECIAL = [0.0, -0.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1e-9, -1e-9, 2e-9, 1e308, -1e308,
+            math.inf, -math.inf, math.nan]
+
+
+@given(st.lists(st.sampled_from(_SPECIAL), min_size=16, max_size=16),
+       st.lists(st.sampled_from(_SPECIAL), min_size=16, max_size=16))
+def test_symmetry_guard_is_allclose(a, b):
+    # the guard accepts and rejects exactly what np.allclose does, with
+    # infinities, NaN and overflowing differences
+    x, y = np.array(a).reshape(2, 2, 4), np.array(b).reshape(2, 2, 4)
+    with np.errstate(over="ignore"):  # 1e308 - -1e308; both sides warn alike
+        assert graphons._within_sym_tol(x, y) is np.allclose(x, y, rtol=0, atol=CONVOLVE_SYM_TOL)
+        for i in range(16):  # cell by cell, the other cells equal
+            one, other = np.zeros(16), np.zeros(16)
+            one[i], other[i] = a[i], b[i]
+            expect = np.allclose(one, other, rtol=0, atol=CONVOLVE_SYM_TOL)
+            assert graphons._within_sym_tol(one, other) is expect
 
 
 @given(_exact_kernels(), st.data())
