@@ -18,13 +18,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cochains import edge_list
+from .cochains import _triu, edge_list
 from .homology import (
     MAX_BOUNDARY_EDGES,
     _check_boundary_size,
     _divisors,
     _eliminate,
-    _face_rows,
+    _star_face_rows,
     bareiss_det,
     boundary_matrices,
     face_edges,
@@ -54,17 +54,26 @@ class TwoComplex:
     def _from_sorted(cls, n: int, triangles) -> TwoComplex:
         """The samplers' constructor: triangles are sorted triples in range,
         so the checks are skipped; duplicates still collapse."""
+        return cls._from_face_set(n, tuple(sorted(set(triangles))))
+
+    @classmethod
+    def _from_face_set(cls, n: int, faces: tuple) -> TwoComplex:
+        """Wraps faces that are already what face_set would return: a tuple
+        of sorted distinct in-range triples, themselves in sorted order."""
         X = object.__new__(cls)
         object.__setattr__(X, "n", int(n))
-        object.__setattr__(X, "triangles", tuple(sorted(set(triangles))))
+        object.__setattr__(X, "triangles", faces)
         return X
 
     @cached_property
     def reduction(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(units, core): the unit-pivot elimination of the face rows of d2^T
-        (homology._eliminate). rank_p(d2) = units + rank_p(core) for every
-        prime p."""
-        return _eliminate(_face_rows(self))
+        """(units, core): the unit-pivot elimination (homology._eliminate)
+        of the rows of d2^T without the star columns of vertex n
+        (homology._star_face_rows), so a face through n is a one-entry row.
+        Dropping those columns and every elimination step are unimodular, so
+        rank_p(d2) = units + rank_p(core) for every prime p and the
+        elementary divisors of d2 are (1,) * units + SNF(core)."""
+        return _eliminate(_star_face_rows(self.n, self.triangles))
 
     @cached_property
     def divisors(self) -> tuple[int, ...]:
@@ -194,18 +203,30 @@ def check_hypertree_n(n: int) -> None:
 
 def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
     """One face per edge of K_n: each edge {u, v} picks the third vertex
-    uniformly from the remaining n - 2; duplicates collapse."""
+    uniformly from the remaining n - 2; duplicates collapse.
+
+    One rng.integers call draws every edge's pick, in edge_list order; it
+    gives the same values, and leaves the generator in the same state, as
+    one scalar call per edge. Each face is coded as the base-n number of its
+    sorted 0-based vertices, whose order is the faces' lexicographic order,
+    so one sort and one neighbour comparison give the sorted distinct faces.
+    """
     check_one_out_n(n)
-    faces = []
-    for u, v in edge_list(n):  # u < v
-        w = int(rng.integers(0, n - 2)) + 1
-        # skip over u, then v
-        if w >= u:
-            w += 1
-        if w >= v:
-            w += 1
-        faces.append((w, u, v) if w < u else (u, w, v) if w < v else (u, v, w))
-    return TwoComplex._from_sorted(n, faces)
+    u, v = _triu(n)  # 0-based, u < v
+    w = rng.integers(0, n - 2, size=len(u))
+    w += w >= u  # skip over u, then v
+    w += w >= v
+    lo, hi = np.minimum(w, u), np.maximum(w, v)
+    code = (lo * n + (u + v + w - lo - hi)) * n + hi
+    code.sort()
+    keep = np.empty(len(code), dtype=bool)
+    keep[0] = True
+    np.not_equal(code[1:], code[:-1], out=keep[1:])
+    code = code[keep]
+    ab, c = np.divmod(code, n)
+    a, b = np.divmod(ab, n)
+    faces = zip((a + 1).tolist(), (b + 1).tolist(), (c + 1).tolist())
+    return TwoComplex._from_face_set(n, tuple(faces))
 
 
 def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoComplex:
@@ -339,12 +360,9 @@ def avoidance_probability_exact(n: int, Y) -> Fraction:
     # n is bounded as for the full skeleton's d2 (n <= 53), before any
     # r x r matrix is built
     _check_boundary_size(n, math.comb(n, 3))
-    faces = face_set(n, Y)
-    # a face (u, v, n) keeps only its edge uv inside [n-1]
-    columns = [
-        {a: 1, b: -1, c: 1} if w < n else {a: 1}
-        for (_, _, w), (a, b, c) in zip(faces, face_edges(n, faces))
-    ]
+    # B_Y's columns are the star-reduced face rows: a face (u, v, n) keeps
+    # only its edge uv inside [n-1]
+    columns = _star_face_rows(n, face_set(n, Y))
     sign, M = gram_det_operand(columns, math.comb(n - 1, 2))
     return Fraction(sign * bareiss_det(M), n ** math.comb(n - 2, 2))
 
@@ -391,8 +409,9 @@ def enumerate_hypertrees(n: int):
 
     Candidates are C(n,3)-choose-C(n-1,2) face sets, filtered by the
     determinant of the reduced boundary square: nonzero iff the face set is
-    a hypertree. Torsion orders come from Smith normal form of the full
-    boundary matrix, taken from the face rows, cross-checked against |det|.
+    a hypertree. Torsion orders come from Smith normal form of the
+    boundary, taken from the star-reduced face rows, cross-checked against
+    |det|.
     """
     if n < 3 or n > 6:
         raise ValueError("enumeration supported for 3 <= n <= 6 only")
@@ -415,7 +434,7 @@ def enumerate_hypertrees(n: int):
             if abs(ad - order) > 0.01:
                 raise ArithmeticError("float determinant too ambiguous to round")
             X = TwoComplex._from_sorted(n, [tris[i] for i in row])
-            divisors = _divisors(*_eliminate(_face_rows(X)))  # not cached on X
+            divisors = _divisors(*_eliminate(_star_face_rows(n, X.triangles)))  # not cached on X
             torsion = math.prod(divisors)
             if len(divisors) != r or torsion != order:
                 raise ArithmeticError(

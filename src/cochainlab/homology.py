@@ -3,18 +3,22 @@ cocycle counts for arbitrary finite abelian coefficients.
 
 Everything here is exact. Matrices are held as sparse rows of Python ints;
 the homology of a complex reads its face list directly, one row of d2^T per
-face, and never builds the dense boundary. The functions that take a complex
-require a TwoComplex, which reduces itself once: its ``reduction`` (cached on
-the instance) eliminates the +-1 pivots sparsely (a face row has three +-1
-entries, so nearly every pivot is a unit) and keeps the small core that is
-left. Every step is unimodular, so rank_p(d2) = units + rank_p(core) for
-every prime p, and the elementary divisors are (1,) * units + SNF(core), with
-the dense min-abs loop on arbitrary-precision integers run on the core only.
-Odd-p ranks, cocycle counts, torsion and generator counts all read that one
-reduction, and a rank never runs the SNF. An F_2 rank is always the cheaper
-XOR elimination of bit-mask face rows. bareiss_det is the one exact
-determinant; gram_det_operand shrinks a Gram determinant det(B B^T) by the
-same kind of unit-pivot elimination before it.
+face with the star columns of vertex n left out (_star_face_rows: a face
+through n keeps one entry), and never builds the dense boundary. Dropping
+those columns is unimodular, by d1 d2 = 0, so it keeps the Smith normal form
+and every F_p rank. The functions that take a complex require a TwoComplex,
+which reduces itself once: its ``reduction`` (cached on the instance)
+eliminates the +-1 pivots sparsely, those that need no fill first (a face
+row has at most three +-1 entries, so nearly every pivot is a unit), and
+keeps the small core that is left. Every step is unimodular, so rank_p(d2) =
+units + rank_p(core) for every prime p, and the elementary divisors are
+(1,) * units + SNF(core), with the dense min-abs loop on arbitrary-precision
+integers run on the core only. Odd-p ranks, cocycle counts, torsion and
+generator counts all read that one reduction, and a rank never runs the
+SNF. An F_2 rank is always the cheaper XOR elimination of the same rows as
+bit masks. bareiss_det is the one exact determinant; gram_det_operand
+shrinks a Gram determinant det(B B^T) by the same kind of unit-pivot
+elimination before it.
 """
 from __future__ import annotations
 
@@ -112,13 +116,33 @@ def boundary_matrices(X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sparse rows: {column: nonzero int}
 
-def _face_rows(X) -> list[dict[int, int]]:
-    """The rows of d2^T, one per face, straight from the face list. Rank and
-    Smith normal form are transpose invariant, so the complex paths never
-    build the dense d2. It keeps d2's size bounds, so every homology entry
-    point accepts the same complexes."""
-    _check_boundary_size(X.n, len(X.triangles))
-    return [{a: 1, b: -1, c: 1} for a, b, c in face_edges(X.n, X.triangles)]
+def _star_face_rows(n: int, faces) -> list[dict[int, int]]:
+    """The rows of d2^T, one per face of the face set ``faces``, with the
+    star columns (edges vn) of vertex n left out: a face (u, v, w) keeps
+    +1, -1, +1 at its face_edges when w < n, and a face (u, v, n) only its
+    +1 at uv. Dropping them keeps the Smith normal form and every F_p rank:
+    d1 d2 = 0 at vertex v says that d2's row at vn is the sum of its rows at
+    the edges av (a < v) less those at vb (v < b < n), so subtracting those
+    integer multiples (unimodular column operations on d2^T) zeroes every
+    star column. The same identity gives avoidance_probability_exact its
+    columns. The complex paths never build the dense d2; this keeps d2's
+    size bounds, so every homology entry point accepts the same complexes.
+    """
+    _check_boundary_size(n, len(faces))
+    return [
+        {a: 1, b: -1, c: 1} if w < n else {a: 1}
+        for (_, _, w), (a, b, c) in zip(faces, face_edges(n, faces))
+    ]
+
+
+def _star_face_masks(n: int, faces) -> list[int]:
+    """_star_face_rows as F_2 bit masks, bit j for edge j, built straight
+    from face_edges: every entry is +-1, so every entry is a bit."""
+    _check_boundary_size(n, len(faces))
+    return [
+        (1 << a) | (1 << b) | (1 << c) if w < n else 1 << a
+        for (_, _, w), (a, b, c) in zip(faces, face_edges(n, faces))
+    ]
 
 
 def _matrix_rows(M) -> list[dict[int, int]]:
@@ -154,20 +178,7 @@ def _rank_rows(rows, p: int) -> int:
     scaled to a leading 1.
     """
     if p == 2:
-        masks: dict[int, int] = {}
-        for row in rows:
-            x = 0
-            for j, v in row.items():
-                if v & 1:
-                    x |= 1 << j
-            while x:
-                j = x.bit_length() - 1
-                y = masks.get(j)
-                if y is None:
-                    masks[j] = x
-                    break
-                x ^= y
-        return len(masks)
+        return _rank_masks(sum(1 << j for j, v in row.items() if v & 1) for row in rows)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         x = {j: r for j, v in row.items() if (r := v % p)}
@@ -186,6 +197,22 @@ def _rank_rows(rows, p: int) -> int:
                         x[k] = r
                     else:
                         del x[k]
+    return len(pivots)
+
+
+def _rank_masks(masks) -> int:
+    """Rank over F_2 of rows given as Python int bit masks: each is XORed
+    with the pivot row of its highest bit until it is zero or that bit is
+    new and it becomes the bit's pivot."""
+    pivots: dict[int, int] = {}
+    for x in masks:
+        while x:
+            j = x.bit_length() - 1
+            y = pivots.get(j)
+            if y is None:
+                pivots[j] = x
+                break
+            x ^= y
     return len(pivots)
 
 
@@ -374,38 +401,60 @@ def _unit_jordan(columns) -> tuple[list[dict[int, int]], list[dict[int, int]], l
 def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Sparse exact elimination of unit pivots: (units, core).
 
-    ``rows`` holds the nonzeros of each matrix row and is consumed.
-    Repeatedly takes a +-1 pivot (among live columns holding a unit, the one
-    with the fewest nonzeros; within it, the row with the fewest nonzeros,
-    then the lowest index) and clears its column by row operations. Each step
-    is unimodular and the pivot row is then cleared by column operations that
-    touch nothing else, so SNF(M) = (1,) * units + SNF(core) and rank_p(M) =
-    units + rank_p(core) for every prime p. The core keeps only the rows and
-    columns that are still nonzero, columns in increasing order, as a tuple
-    of row tuples.
+    ``rows`` holds the nonzeros of each matrix row and is consumed. Each
+    step takes a +-1 pivot and clears its column by row operations. Pivots
+    that need no fill come first, from a plain list: a row whose one entry
+    is +-1, or a column whose one nonzero is +-1 (a free edge: on face rows
+    both are elementary collapses). With none left, the Markowitz choice
+    takes the live column holding a unit with the fewest nonzeros, then the
+    row in it with the fewest nonzeros, then the lowest index; a column it
+    changes is pushed again. Each step is unimodular and the pivot row is
+    then cleared by column operations that touch nothing else, so SNF(M) =
+    (1,) * units + SNF(core) and rank_p(M) = units + rank_p(core) for every
+    prime p. The core keeps only the rows and columns that are still
+    nonzero, columns in increasing order, as a tuple of row tuples.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
+    free: list[tuple[int, int]] = []  # (row, column) candidates, checked when taken
+    for i, row in enumerate(rows):
+        if len(row) == 1:
+            ((j, v),) = row.items()
+            if v in (1, -1):
+                free.append((i, j))
+    for j, rs in cols.items():
+        if len(rs) == 1:
+            (i,) = rs
+            if rows[i][j] in (1, -1):
+                free.append((i, j))
     heap = [(len(rs), j) for j, rs in cols.items()]
     heapq.heapify(heap)
     units = 0
-    while heap:
-        count, c = heappop(heap)
-        col = cols[c]
-        if count != len(col):
-            continue  # stale entry; the live count was pushed when it changed
-        r, best = -1, 0
-        for i in col:
-            row = rows[i]
-            if row[c] in (1, -1):
-                size = len(row)
-                if r < 0 or size < best or (size == best and i < r):
-                    r, best = i, size
-        if r < 0:
-            continue  # pushed again if a later step changes this column
+    while True:
+        if free:
+            r, c = free.pop()
+            col = cols[c]
+            if rows[r].get(c) not in (1, -1) or (len(rows[r]) > 1 and len(col) > 1):
+                continue  # no longer free; the heap holds its column
+        elif heap:
+            count, c = heappop(heap)
+            col = cols[c]
+            if count != len(col):
+                continue  # stale entry; the live count was pushed when it changed
+            r, best = -1, 0
+            for i in col:
+                row = rows[i]
+                if row[c] in (1, -1):
+                    size = len(row)
+                    if r < 0 or size < best or (size == best and i < r):
+                        r, best = i, size
+            if r < 0:
+                continue  # pushed again if a later step changes this column
+        else:
+            break
         prow = rows[r]
         rows[r] = {}
         a = prow.pop(c)
@@ -426,6 +475,10 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], 
                     cols[j].discard(i)
                 else:
                     row[j] = x - fv
+            if len(row) == 1:
+                ((j, v),) = row.items()
+                if v in (1, -1):
+                    free.append((i, j))
         col.clear()
         units += 1
         for j in prow:
@@ -433,6 +486,10 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], 
             rs.discard(r)
             if rs:
                 heappush(heap, (len(rs), j))
+                if len(rs) == 1:
+                    (i,) = rs
+                    if rows[i][j] in (1, -1):
+                        free.append((i, j))
     live = sorted(j for j, rs in cols.items() if rs)
     core = tuple(tuple(row.get(j, 0) for j in live) for row in rows if row)
     return units, core
@@ -569,12 +626,13 @@ def _rank(X, p: int) -> int:
     """rank_p(d2) of a TwoComplex.
 
     An odd p reads the reduction: units + rank_p(core). p = 2 always XORs
-    bit-mask face rows instead, which costs about a fifth of a reduction, so
-    a scan over F_2 alone never reduces.
+    the star-reduced face rows as bit masks instead, which costs about a
+    quarter of a reduction, so a scan over F_2 alone never reduces.
     """
     _check_prime(p)
     if p == 2:
-        return _rank_rows(_face_rows(_complex(X)), 2)
+        X = _complex(X)
+        return _rank_masks(_star_face_masks(X.n, X.triangles))
     units, core = _complex(X).reduction
     return units + _rank_rows([{j: v for j, v in enumerate(row) if v} for row in core], p)
 

@@ -161,6 +161,20 @@ def test_embed_graphon_is_step_graphon():
     assert W.is_graphon()
 
 
+def test_embed_graphon_passes_the_kernel_checks():
+    # embed_graphon skips StepKernel's validation, since its scatter is
+    # symmetric and finite by construction; the checks run here instead
+    for moduli in ((2,), (3,), (4,), (2, 2)):
+        nu = _uniform(moduli)
+        for n in range(2, 13):
+            for seed in range(3):
+                f = random_cochain(n, nu, np.random.default_rng([n, seed, len(moduli)]))
+                for exact in (False, True):
+                    W = embed_graphon(f, exact=exact)
+                    assert W.exact == exact
+                    W._validate()
+
+
 def test_cochain_rejects_bad_labels():
     g = Group((2,))
     with pytest.raises(ValueError):

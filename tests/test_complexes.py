@@ -117,6 +117,57 @@ def test_one_out_third_vertex_marginal():
         assert abs(c / reps - 19 / 27) < 0.025, (v, c)
 
 
+# sha256 of repr(X.triangles) of sample_one_out(n, ExperimentConfig(seed)
+# .replica_rng("betti", n, rep)) over seeds 1, 3, 11 and reps 0-2, in that
+# order; recorded from the scalar draw loop (_sample_one_out_loop)
+_ONE_OUT_PINS = {
+    3: "3d0d030bb285324bdc5cdc527fb4a23f7cc6474b6e2e8035de281704e8b55881",
+    4: "e5a33d59c2ae8dd50a38836dc76d20a94059b908e7f29583d75e77ccc2610caa",
+    5: "7dba65d5cde9d8546b590b3ab1ee22cc3c539d627ba6c7693c8f61428acbb474",
+    14: "a11acaeaa346af1fdac413f2404b684ca50e108b035e2ea5b160aa8d375247c2",
+    18: "dcb170d66ab761a8f470b2bf232e02450b5a3b440ce1ad01c2daaa19a5eb9a29",
+    20: "29dcbf670a79df70e4a20f5a3215c63e587267754cd409c5af95b1dff62d761c",
+    50: "382b93f5de3b8607d236699936fbb078979dd75c877f23e6273d8bf8a835838f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_ONE_OUT_PINS))
+def test_one_out_draws_are_pinned(n):
+    h = hashlib.sha256()
+    for seed in (1, 3, 11):
+        for rep in range(3):
+            X = sample_one_out(n, ExperimentConfig(seed).replica_rng("betti", n, rep))
+            h.update(repr(X.triangles).encode())
+    assert h.hexdigest() == _ONE_OUT_PINS[n]
+
+
+def _sample_one_out_loop(n, rng):
+    """The oracle of sample_one_out: one scalar draw per edge {u < v} in
+    edge_list order, its third vertex uniform on the other n - 2."""
+    faces = []
+    for u, v in edge_list(n):
+        w = int(rng.integers(0, n - 2)) + 1
+        # skip over u, then v
+        if w >= u:
+            w += 1
+        if w >= v:
+            w += 1
+        faces.append(tuple(sorted((u, v, w))))
+    return TwoComplex(n, faces)
+
+
+def test_one_out_matches_the_scalar_loop():
+    # the same faces, and the generator left in the same state: C(n,2) is
+    # odd at n = 3, 6, 7, so a half-used 64-bit word is left over there too
+    for n in (3, 4, 5, 6, 7, 8, 14, 18, 20, 33, 50, 101):
+        for seed in range(4):
+            fast, slow = np.random.default_rng([n, seed]), np.random.default_rng([n, seed])
+            X, Y = sample_one_out(n, fast), _sample_one_out_loop(n, slow)
+            assert X.triangles == Y.triangles, (n, seed)
+            assert fast.random() == slow.random(), (n, seed)
+            assert fast.integers(0, 7) == slow.integers(0, 7), (n, seed)
+
+
 def test_linial_meshulam_extremes():
     rng = np.random.default_rng(13)
     assert sample_linial_meshulam(6, 0.0, rng).num_faces == 0

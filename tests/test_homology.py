@@ -23,9 +23,10 @@ from cochainlab.homology import (
     _dense_smith,
     _divisors,
     _eliminate,
-    _face_rows,
     _matrix_rows,
     _rank_rows,
+    _star_face_masks,
+    _star_face_rows,
     bareiss_det,
     boundary_matrices,
     count_cocycles,
@@ -33,6 +34,7 @@ from cochainlab.homology import (
     dim_h1_mod_p,
     gram_det_operand,
     dim_z1_mod_p,
+    face_edges,
     homology_report,
     is_prime,
     min_generators_h1,
@@ -74,9 +76,11 @@ def test_boundary_size_checked_before_allocation():
     faces = [(1, 2, w) for w in range(3, 70)]
     for build in (
         boundary_matrices,
-        _face_rows,
+        lambda X: _star_face_rows(X.n, X.triangles),
+        lambda X: _star_face_masks(X.n, X.triangles),
         homology_report,
         torsion_order,
+        lambda X: dim_h1_mod_p(X, 2),
         lambda X: dim_h1_mod_p(X, 3),
         lambda X: count_cocycles(X, Group((2,))),
     ):
@@ -86,10 +90,25 @@ def test_boundary_size_checked_before_allocation():
             build(TwoComplex(1024, faces))
 
 
+def _face_rows(X):
+    """The rows of d2^T, one per face, straight from the face list: the
+    oracle of the star-reduced rows the complex paths read."""
+    return [{a: 1, b: -1, c: 1} for a, b, c in face_edges(X.n, X.triangles)]
+
+
 def test_face_rows_are_d2_transposed():
     X = sample_one_out(9, np.random.default_rng(8))
     d2 = boundary_matrices(X)
     assert _face_rows(X) == _matrix_rows(d2.T)
+
+
+def test_star_face_rows_drop_only_the_star_columns():
+    X = sample_one_out(9, np.random.default_rng(8))
+    star = {i for i, (u, v) in enumerate(edge_list(9)) if v == 9}
+    kept = [{j: x for j, x in row.items() if j not in star} for row in _face_rows(X)]
+    assert _star_face_rows(X.n, X.triangles) == kept
+    assert any(len(row) == 1 for row in kept)
+    assert _star_face_masks(X.n, X.triangles) == [sum(1 << j for j in row) for row in kept]
 
 
 def _rank_oracle_mod_p(M, p):
@@ -413,17 +432,46 @@ def _complexes(draw):
 
 @given(_complexes())
 def test_face_rows_match_dense_boundary(X):
+    # the full face rows and the star-reduced ones the complex paths read
     d2 = boundary_matrices(X)
     E = d2.shape[0]
+    row_sets = (lambda: _face_rows(X), lambda: _star_face_rows(X.n, X.triangles))
     for p in (2, 3, 5, 7):
         rank = _rank_oracle_mod_p(d2, p)
-        assert _rank_rows(_face_rows(X), p) == rank
+        for rows in row_sets:
+            assert _rank_rows(rows(), p) == rank
         assert dim_z1_mod_p(X, p) == E - rank
         assert dim_h1_mod_p(X, p) == cycle_space_dim(X.n) - rank
     divisors = _dense_divisors(d2)
-    assert _divisors(*_eliminate(_face_rows(X))) == divisors
+    for rows in row_sets:
+        assert _divisors(*_eliminate(rows())) == divisors
     assert homology_report(X).elementary_divisors == divisors
     assert torsion_order(X) == math.prod(divisors)
+
+
+def test_star_face_rows_keep_divisors_and_ranks():
+    cfg = ExperimentConfig(3)
+    cases = [
+        TwoComplex(6, PROJECTIVE_PLANE_6.triangles),
+        TwoComplex(7, [t for t in all_triangles(7) if t[2] == 7]),  # every row one entry
+        TwoComplex(7, []),
+    ]
+    cases += [sample_one_out(n, cfg.replica_rng("betti", n, rep)) for n, rep in ((9, 0), (14, 1), (18, 6), (20, 2))]
+    cases += [sample_linial_meshulam(n, 3.0, np.random.default_rng([n, 2])) for n in (7, 10, 12)]
+    cases += [sample_hypertree(n, np.random.default_rng([n, rep])) for n in (7, 9) for rep in range(2)]
+    torsion = 0
+    for X in cases:
+        d2 = boundary_matrices(X)
+        divisors = _dense_divisors(d2)
+        assert _divisors(*_eliminate(_star_face_rows(X.n, X.triangles))) == divisors, X
+        Y = TwoComplex(X.n, X.triangles)
+        assert Y.divisors == divisors, X
+        for p in (2, 3, 5):
+            rank = rank_mod_p(d2, p)
+            assert _rank_rows(_star_face_rows(X.n, X.triangles), p) == rank, (X, p)
+            assert dim_z1_mod_p(Y, p) == d2.shape[0] - rank, (X, p)  # the masks at p = 2
+        torsion += any(d > 1 for d in divisors)
+    assert torsion >= 2
 
 
 # dim H_1 over F_2 of the exact-scan one-out replicates (seed 3, reps 0-23),
