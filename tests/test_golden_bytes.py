@@ -1,17 +1,24 @@
-"""sha256 pins of layer-audit and ldp-numerics output at fixed seeds.
+"""sha256 pins of layer-audit, ldp-numerics and graphon output at fixed seeds.
 
 The layer counts, `audited`, `both_neg_inf` and every float of these runs
 are pinned byte for byte, so a rewrite of the sample path (the cochain
 embedding, the b functional, the cocycle triangles, the exact avoidance
-probability) that changes any output fails here. The pins were recorded
-with numpy 2.4 on x86-64; a BLAS that sums in another order may change the
-last digits of the float columns.
+probability) that changes any output fails here. The `graphon cutnorm` and
+`graphon fk` pins do the same for the exact cut-norm scan: the fk trace
+holds every witness (S, T) the scan found, so a scan that picks another
+first maximum fails here. The pins were recorded with numpy 2.4 on x86-64;
+a BLAS that sums in another order may change the last digits of the float
+columns.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
 from cochainlab.cli import main
+from cochainlab.graphons import kernel_difference, random_kernel, random_w00, uniform_kernel
+from cochainlab.groups import Group
+from cochainlab.serialize import dump_json, kernel_to_json_dict
 
 LAYER_AUDIT = {
     (6, "2", "csv"): "0ac0b93490ef9129bf3c7749297c9fcc9f6ba2d5d256f1522813b3ac9c4767a7",
@@ -54,3 +61,57 @@ def test_layer_audit_bytes(tmp_path, n, group, fmt):
 def test_ldp_numerics_bytes(tmp_path, fmt):
     argv = ["ldp-numerics", "--samples", "20", "--seed", "5", "--format", fmt]
     assert _digest(tmp_path, argv) == LDP_NUMERICS[fmt]
+
+
+# (group moduli, parts, generator): a random_kernel, or a random_w00 less the
+# uniform kernel, drawn from default_rng([parts, sum(moduli)])
+GRAPHON_KERNELS = {
+    "z2-14": ((2,), 14, random_kernel),
+    "z2-20": ((2,), 20, random_kernel),
+    "z3-12": ((3,), 12, random_w00),
+    "z2xz2-9": ((2, 2), 9, random_w00),
+}
+
+GRAPHON = {
+    ("z2-14", "cutnorm", "csv"): "53c45a8e95a38f052ea296adc4437049a5ce2b03a233a4b8b7be17c29375ff8b",
+    ("z2-14", "cutnorm", "json"): "1f0cb87ff5a8ea637d7778224063481cc04544000b61c37c038deaf603587803",
+    ("z2-14", "fk --eps 0.1", "csv"): "a7dc50a374b23c1d3efa05196bbd7edc432096cb44a4a4a4f29011dcf2670c7b",
+    ("z2-14", "fk --eps 0.1", "json"): "078bfb67a75b5eb81d331f9032928410d8e6253928952d4f2ba12ad34668fc59",
+    ("z2-14", "fk --eps 0.2", "csv"): "3d9f13fa98eac870929b3b519e39f0bef0c6837055c97811cb20c21b3554860c",
+    ("z2-14", "fk --eps 0.2", "json"): "98e6f104e3d9ebc77151deaf5c4cb638ff0a9f53328d9426962361892de97889",
+    ("z2-20", "cutnorm", "csv"): "f5272d439da345540d45e0edc095cd16d8394b4d3b51de46121badc1ae0905dc",
+    ("z2-20", "cutnorm", "json"): "f2ed5a47d2680bb3ffa9e79db12d76dbdeb7a1fa22a4b52946dacce82bd4bae4",
+    ("z2-20", "fk --eps 0.1", "csv"): "2858d7fe6dc58223f50e624ffb0bb241c65869052df607bd3c4fa8e757cade86",
+    ("z2-20", "fk --eps 0.1", "json"): "e720a0738c96654a554cfdc94557da526d95b921b8376acac3ceade519827067",
+    ("z2-20", "fk --eps 0.2", "csv"): "d9e4787a100986f69c20311e9a284e3c50be5add91aad650e2dd85c0f1b69461",
+    ("z2-20", "fk --eps 0.2", "json"): "3c83296db0c3ce4c9c1da1af97a9e8f6f7258e1465211cadf89e5c82cb2fcc8f",
+    ("z2xz2-9", "cutnorm", "csv"): "e06eeb31a1af6b7931ec4e5ebbf3f613567d83782ad6b4e6e5aec3326a87c7e7",
+    ("z2xz2-9", "cutnorm", "json"): "8355adf31ba7506250a302cbfcb41cda68911370a9e24fddebaaa156567c644c",
+    ("z2xz2-9", "fk --eps 0.1", "csv"): "c7771b89e0d6cfbb6cb340634de7d7a95d9fb76fb7b91a59038fd3527effb8a3",
+    ("z2xz2-9", "fk --eps 0.1", "json"): "69b07f08ed43a4a32b2dbce056f3257987258e43b89aba8acc67a5cf5883bf12",
+    ("z2xz2-9", "fk --eps 0.2", "csv"): "34340fe807974829836c21436704e6d09ec0e7061cbc2b9f62251718f1b5ef9c",
+    ("z2xz2-9", "fk --eps 0.2", "json"): "d087bf56054cebd654334ad8303ff8084f19b2d66ce3841c4c632ba1c859dab8",
+    ("z3-12", "cutnorm", "csv"): "0ddb2187013528ae8fd49786066d4e1ca4a4a2a08f24ff3b723ec4e0be64590b",
+    ("z3-12", "cutnorm", "json"): "a054a234d060bb8c0cdf316bc5513c7163591aa2c7d6ef23aadc3e20378bd33d",
+    ("z3-12", "fk --eps 0.1", "csv"): "887c641b7f4ddad615e3b6b7d3b7e6ad3694f7eda194a91b55eca4a080a7f3c8",
+    ("z3-12", "fk --eps 0.1", "json"): "16f91385f1c6219cf471bc7b7c3db2c8750567a5e734eac20f5a252db58cdbaf",
+    ("z3-12", "fk --eps 0.2", "csv"): "fbe612862744ccd3bd7a63c0010499f8b46f1ad3e94bd9f31297b3b23aa5d000",
+    ("z3-12", "fk --eps 0.2", "json"): "d2947726a01262805612c7fc4114f52f88223a81089bab76122bab89f85d91f0",
+}
+
+
+def _graphon_kernel(tmp_path, name):
+    moduli, parts, draw = GRAPHON_KERNELS[name]
+    group = Group(moduli)
+    W = draw(group, parts, np.random.default_rng([parts, sum(moduli)]))
+    if draw is random_w00:
+        W = kernel_difference(W, uniform_kernel(group))
+    path = tmp_path / "kernel.json"
+    dump_json(kernel_to_json_dict(W), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, command, fmt", sorted(GRAPHON))
+def test_graphon_bytes(tmp_path, name, command, fmt):
+    argv = ["graphon", *command.split(), "--in", _graphon_kernel(tmp_path, name), "--format", fmt]
+    assert _digest(tmp_path, argv) == GRAPHON[name, command, fmt]

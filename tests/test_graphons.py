@@ -312,6 +312,73 @@ def test_max_box_split_scan_matches_single_block(k, shape, m, halves, zero_row, 
     assert repr(_max_box_on_cpus(A, cpus)) == repr(_max_box_on_cpus(A, 1))
 
 
+def _one_mask_scan(low, low_tot, neg_high, high_tot, masks: range):
+    """Reference for graphons._scan_masks: one high mask at a time, its m
+    maxima in one m x 2^13 buffer summed over axis 0, then the first
+    maximum in increasing mask order."""
+    lo = low.shape[1].bit_length() - 1
+    cols = np.empty_like(low)
+    best, best_mask, best_sign = 0.0, 0, 1.0
+    for h in masks:
+        over = np.maximum(low, neg_high[:, h, None], out=cols).sum(axis=0)
+        pos = over + high_tot[h]
+        negabs = pos - (low_tot + high_tot[h])
+        cand = np.maximum(pos, negabs)
+        i = int(np.argmax(cand))
+        if cand[i] > best:
+            best = float(cand[i])
+            best_mask = (h << lo) | i
+            best_sign = 1.0 if pos[i] >= negabs[i] else -1.0
+    return best, best_mask, best_sign
+
+
+@settings(max_examples=60)
+@given(
+    # tile edges: at k = 14 and 15 the 2 and 4 high masks fill no whole tile
+    # of 8, and on 3 CPUs the blocks of k = 17 (5, 5, 6 masks) and k = 22
+    # (170, 171, 171) end inside a tile
+    k=st.integers(1, 20) | st.sampled_from([14, 15, 17, 21, 22]),
+    shape=st.sampled_from(["square", "symmetric", "rectangular"]),
+    m=st.integers(1, 24),
+    entries=st.sampled_from(["uniform", "halves", "tenths"]),
+    zero_row=st.integers(0, 30),
+    cpus=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_box_tiled_scan_matches_one_mask_scan(k, shape, m, entries, zero_row, cpus, seed):
+    """The tiled scan, on any CPU count, gives the same value, witness and
+    sign as the one-mask-at-a-time scan on one CPU, and each block's scan
+    the same float maximum at the same mask. Half-integer entries make
+    exact ties; multiples of 0.1 make boxes whose sums are equal but round
+    apart, so the witness depends on the order of every addition."""
+    rng = np.random.default_rng(seed)
+    A = rng.random((k, m if shape == "rectangular" else k)) - 0.5
+    if entries == "halves":
+        A = np.round(4 * A) / 2
+    elif entries == "tenths":
+        A = np.round(10 * A) / 10
+    if shape == "symmetric":
+        A = A + A.T
+    if zero_row < k:
+        A[zero_row] = 0.0
+        if shape == "symmetric":
+            A[:, zero_row] = 0.0
+    tiled = graphons._scan_masks
+    blocks = []
+
+    def both_scans(*tables):
+        got = tiled(*tables)
+        blocks.append((repr(got), repr(_one_mask_scan(*tables))))
+        return got
+
+    with mock.patch.object(graphons, "_scan_masks", both_scans):
+        result = _max_box_on_cpus(A, cpus)
+    with mock.patch.object(graphons, "_scan_masks", _one_mask_scan):
+        expected = _max_box_on_cpus(A, 1)
+    assert repr(result) == repr(expected)
+    assert all(got == ref for got, ref in blocks)
+
+
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_max_box_tie_across_blocks_takes_earlier_block(cpus):
     """Rows 13 and 14 give equal boxes from high masks 1 and 2, which sit in
