@@ -276,9 +276,9 @@ class CutNormTooLarge(ValueError):
 _TABLE_ROWS = 13  # rows in the low subset-sum table: 2^13 masks of m floats
 # Candidates a scanning thread forms at a time: 8 high masks x 2^13 low masks,
 # in two reused 512 KB buffers. A 20-part slice split over two CPUs took
-# 10.1 ms with tiles of 2^16 cells, 12.3 ms with 2^15 and 11.7 ms with 2^17;
-# with 2^14, 20.4 ms, as more and smaller ufunc calls hand the GIL back and
-# forth between the threads. One mask at a time took 17.0 ms (medians of 40
+# 12.7 ms with tiles of 2^16 cells, 13.5 ms with 2^15 and 15.6 ms with 2^17;
+# with 2^14, 24.3 ms, as more and smaller ufunc calls hand the GIL back and
+# forth between the threads. One mask at a time took 19.5 ms (medians of 40
 # alternated calls each, 2-core x86 host, numpy 2.4).
 _TILE_CELLS = 1 << 16
 
@@ -303,34 +303,27 @@ def _scan_masks(low, low_tot, neg_high, high_tot, masks: range):
     For S = (high mask h, low mask i), column j sums L_j + H_j, and the best
     positive box sums max(L_j + H_j, 0) = max(L_j, -H_j) + H_j over j: m
     maxima, their sum and the tabulated high_tot[h]. The high masks go in
-    tiles of consecutive masks, _TILE_CELLS candidates a tile, whose maxima
-    are added into one buffer row by row, j = 0, 1, ..., m-1. A sum over
+    tiles of consecutive masks, _TILE_CELLS candidates a tile (all of
+    ``masks`` when they make fewer), whose maxima are added into one buffer
+    row by row, j = 0, 1, ..., m-1, for every slice size. A sum over
     axis 0 adds in that order too, so every candidate is the float that a
-    scan of one mask at a time forms. Where the maxima of all of ``masks``
-    fit in one tile (up to 12 square parts), one broadcast maximum and one
-    such sum are the scan. Read flat, a tile's candidates are in mask order,
-    so its first argmax, kept only when it beats the best so far strictly,
-    keeps the first maximum.
+    scan of one mask at a time forms. Read flat, a tile's candidates are in
+    mask order, so its first argmax, kept only when it beats the best so far
+    strictly, keeps the first maximum.
     """
     m, width = low.shape
     lo = width.bit_length() - 1
-    whole = m * len(masks) * width <= _TILE_CELLS
-    tile = len(masks) if whole else _TILE_CELLS // width  # high masks a tile
-    if not whole:
-        acc, tmp = np.empty((tile, width)), np.empty((tile, width))
+    tile = min(len(masks), _TILE_CELLS // width)  # high masks a tile
+    acc, tmp = np.empty((tile, width)), np.empty((tile, width))
     best, best_mask, best_sign = 0.0, 0, 1.0
     for start in range(masks.start, masks.stop, tile):
         h = slice(start, min(start + tile, masks.stop))
         hi = high_tot[h, None]
-        if whole:
-            pos = np.maximum(low[:, None], neg_high[:, h, None]).sum(axis=0)
-            cand = low_tot + hi
-        else:
-            pos, cand = acc[: h.stop - start], tmp[: h.stop - start]
-            np.maximum(low[0], neg_high[0, h, None], out=pos)
-            for j in range(1, m):
-                pos += np.maximum(low[j], neg_high[j, h, None], out=cand)
-            np.add(low_tot, hi, out=cand)
+        pos, cand = acc[: h.stop - start], tmp[: h.stop - start]
+        np.maximum(low[0], neg_high[0, h, None], out=pos)
+        for j in range(1, m):
+            pos += np.maximum(low[j], neg_high[j, h, None], out=cand)
+        np.add(low_tot, hi, out=cand)
         pos += hi
         np.subtract(pos, cand, out=cand)  # the best negative box, negated
         np.maximum(pos, cand, out=cand)
@@ -404,6 +397,8 @@ def max_box_exact(A: np.ndarray):
             f"{k} parts exceeds the exact cut-norm limit {EXACT_CUT_LIMIT}; "
             "use the heuristic lower bound instead"
         )
+    if m == 0:  # no column: every box is empty and sums 0
+        return 0.0, [], [], 0.0
     lo = min(k, _TABLE_ROWS)
     low = _subset_sums(A[:lo])  # (m, 2^lo)
     high = _subset_sums(A[lo:])  # (m, 2^(k - lo))

@@ -379,6 +379,11 @@ def test_max_box_tiled_scan_matches_one_mask_scan(k, shape, m, entries, zero_row
     assert all(got == ref for got, ref in blocks)
 
 
+@pytest.mark.parametrize("k", [0, 3, 13, 15])
+def test_max_box_of_slice_without_columns_is_empty_box(k):
+    assert repr(graphons.max_box_exact(np.zeros((k, 0)))) == repr((0.0, [], [], 0.0))
+
+
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_max_box_tie_across_blocks_takes_earlier_block(cpus):
     """Rows 13 and 14 give equal boxes from high masks 1 and 2, which sit in
