@@ -350,7 +350,8 @@ def avoidance_probability_exact(n: int, Y) -> Fraction:
     over the full skeleton that sum is Kalai's weighted hypertree count
     n^C(n-2,2) (Kalai 1983, Enumeration of Q-acyclic simplicial complexes).
     One Bareiss determinant on integers, no floats anywhere. Gauss-Jordan on
-    s +-1 pivots of B_Y's edge rows, by row operations only, gives
+    s +-1 pivots of B_Y's edge rows, by row operations only (the keep mode
+    of the unit-pivot engine, homology._eliminate), gives
     B_Y ~ [[I_s, X], [0, C]], and
     det(B_Y B_Y^T) = det(I + X^T X) det(C (I + X^T X)^-1 C^T)
                    = (-1)^(r-s) det([[I + X^T X, C^T], [C, 0]]).

@@ -367,6 +367,13 @@ def _scan_pool():
         return _POOL[1]
 
 
+def _check_finite(A: np.ndarray) -> None:
+    """Box sums need finite entries: a NaN compares false everywhere, so a
+    scan would return 0.0, and an infinity has no finite box to witness."""
+    if not np.isfinite(A).all():
+        raise ValueError("matrix entries must be finite, found NaN or infinity")
+
+
 def max_box_exact(A: np.ndarray):
     """max over S, T subseteq rows/cols of |sum_{i in S, j in T} A[i, j]|,
     returned as (value, S, T, signed box sum), as max_box_heuristic does.
@@ -392,6 +399,7 @@ def max_box_exact(A: np.ndarray):
     two, not whichever mask rounded larger.
     """
     k, m = A.shape
+    _check_finite(A)
     if k > EXACT_CUT_LIMIT:
         raise CutNormTooLarge(
             f"{k} parts exceeds the exact cut-norm limit {EXACT_CUT_LIMIT}; "
@@ -433,6 +441,7 @@ def max_box_heuristic(A: np.ndarray, rng: np.random.Generator):
     for the witness found, hence a true lower bound.
     """
     k, m = A.shape
+    _check_finite(A)
     best, bestS, bestT, bestval = 0.0, [], [], 0.0
     for r in range(HEURISTIC_RESTARTS):
         s = rng.integers(0, 2, size=k).astype(float) if r else np.ones(k)

@@ -6,24 +6,25 @@ the homology of a complex reads its face list directly, one row of d2^T per
 face with the star columns of vertex n left out (_star_face_rows: a face
 through n keeps one entry), and never builds the dense boundary. Dropping
 those columns is unimodular, by d1 d2 = 0, so it keeps the Smith normal form
-and every F_p rank. The functions that take a complex require a TwoComplex,
-which reduces itself once: its ``reduction`` (cached on the instance)
-eliminates the +-1 pivots sparsely, those that need no fill first (a face
-row has at most three +-1 entries, so nearly every pivot is a unit), and
-keeps the small core that is left. Every step is unimodular, so rank_p(d2) =
-units + rank_p(core) for every prime p, and the elementary divisors are
-(1,) * units + SNF(core), with the dense min-abs loop on arbitrary-precision
-integers run on the core only. Odd-p ranks, cocycle counts, torsion and
-generator counts all read that one reduction, and a rank never runs the
-SNF. An F_2 rank is always the cheaper XOR elimination of the same rows as
-bit masks. bareiss_det is the one exact determinant; gram_det_operand
-shrinks a Gram determinant det(B B^T) by the same kind of unit-pivot
-elimination before it.
+and every F_p rank.
+
+One sparse engine, _eliminate, takes +-1 pivots and clears their columns by
+row operations; its two modes differ only in the pivot row. By default the
+row leaves and a small core is left: rank_p(M) = units + rank_p(core) for
+every prime p, and the elementary divisors are (1,) * units + SNF(core). A
+TwoComplex caches this reduction of its face rows; odd-p ranks, cocycle
+counts, torsion and generator counts all read it, a rank never runs the
+SNF, and the dense min-abs SNF loop runs on the core only. An F_2 rank is
+always the cheaper XOR elimination of the same rows as bit masks. With
+keep, the pivot rows stay and later pivots clear them too (Gauss-Jordan):
+gram_det_operand uses it to shrink a Gram determinant det(B B^T) for
+bareiss_det, the one exact determinant.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,9 +284,10 @@ def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:
     matrix B of r rows whose columns are ``columns``, each a {row key:
     nonzero} dict (not modified; at most r distinct keys overall).
 
-    Gauss-Jordan on +-1 pivots by row operations only (_unit_jordan), which
-    are unimodular on the left, brings B to [[I_s, X], [0, C]] up to row
-    signs and a column permutation. B B^T then has the determinant of
+    The unit-pivot engine in its keep mode, _eliminate(rows, keep=True),
+    runs Gauss-Jordan on s +-1 pivots of B's rows by row operations only,
+    which are unimodular on the left, and brings B to [[I_s, X], [0, C]] up
+    to row signs and a column permutation. B B^T then has the determinant of
     [[I + X X^T, X C^T], [C X^T, C C^T]], which by the Schur complement and
     I - X^T (I + X X^T)^-1 X = (I + X^T X)^-1 is
     det(I + X^T X) det(C (I + X^T X)^-1 C^T)
@@ -298,15 +300,19 @@ def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:
     """
     m = len(columns)
     if m < 2 * r:
-        pivots, live, free = _unit_jordan(columns)
+        rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # B's nonzero rows
+        for j, col in enumerate(columns):
+            for i, v in col.items():
+                rows[i][j] = v
+        pivots, live = _eliminate(list(rows.values()), keep=True)
         s = len(pivots)
         if m + r - 2 * s < r:
             t = r - s  # rows of C, the zero ones first
-            at = {j: k for k, j in enumerate(free, start=t)}
+            at = {j: k for k, j in enumerate((j for j in range(m) if j not in pivots), start=t)}
             M = [[0] * (t + m - s) for _ in range(t + m - s)]
             for k in range(t, t + m - s):
                 M[k][k] = 1
-            _add_outer_products(M, pivots, at)  # I + X^T X; a row's sign squares away
+            _add_outer_products(M, pivots.values(), at)  # I + X^T X; a row's sign squares away
             for i, row in enumerate(live, start=t - len(live)):
                 for j, v in row.items():
                     M[i][at[j]] = M[at[j]][i] = v
@@ -329,116 +335,61 @@ def _add_outer_products(M, vectors, at) -> None:
                 Ma[b] += x * y
 
 
-def _unit_jordan(columns) -> tuple[list[dict[int, int]], list[dict[int, int]], list[int]]:
-    """The Gauss-Jordan reduction of gram_det_operand: (pivots, live, free).
+def _eliminate(rows: list[dict[int, int]], keep: bool = False):
+    """The sparse unit-pivot engine: (units, core), or with keep (pivots, live).
 
-    B's rows are built from ``columns`` as {column position: value} dicts.
-    The next pivot is a +-1 of a live row in the column with the fewest nonzeros (pivot rows
-    included: the column is cleared from all of them), in the shortest such
-    row, then the lowest key. Each pivot row is returned without its pivot
-    entry, as a row of X up to sign; the live rows are the nonzero rows of C;
-    free lists the m - s columns that are not pivots. Neither kind of row
-    holds a pivot column.
-    """
-    heappop, heappush = heapq.heappop, heapq.heappush
-    rows: dict = {}
-    cols: list = []  # the rows holding each column; None once it is a pivot
-    for j, col in enumerate(columns):
-        cols.append(set(col))
-        for i, v in col.items():
-            row = rows.get(i)
-            if row is None:
-                rows[i] = {j: v}
-            else:
-                row[j] = v
-    heap = [(len(rs), j) for j, rs in enumerate(cols)]
-    heapq.heapify(heap)
-    pivoted = set()
-    pivots = []
-    while heap:
-        count, c = heappop(heap)
-        col = cols[c]
-        if col is None or count != len(col):
-            continue  # a pivot's, or stale: the live count was pushed when it changed
-        r, best = None, 0
-        for i in col:
-            row = rows[i]
-            if i not in pivoted and row[c] in (1, -1):
-                size = len(row)
-                if r is None or size < best or (size == best and i < r):
-                    r, best = i, size
-        if r is None:
-            continue  # pushed again if a later step changes this column
-        prow = rows[r]
-        a = prow.pop(c)
-        if count > 1:  # else the column is the pivot row's alone: nothing to clear
-            others = prow.items()
-            for i in col:
-                if i == r:
-                    continue
-                row = rows[i]
-                f = row.pop(c) * a  # a * a = 1, so row[c] - f * a = 0
-                for j, v in others:
-                    fv = f * v
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = -fv
-                        cols[j].add(i)
-                    elif x == fv:
-                        del row[j]
-                        cols[j].discard(i)
-                    else:
-                        row[j] = x - fv
-            for j in prow:
-                heappush(heap, (len(cols[j]), j))
-        cols[c] = None
-        pivoted.add(r)
-        pivots.append(prow)
-    live = [row for i, row in rows.items() if row and i not in pivoted]
-    return pivots, live, [j for j, rs in enumerate(cols) if rs is not None]
+    ``rows`` holds the nonzeros of each matrix row, {column: value}, and is
+    consumed. Each step takes a +-1 pivot and clears its column from every
+    other row by row operations. Pivots that need no fill come first, from a
+    plain list: a row whose one entry is +-1, or a column whose one nonzero
+    is +-1 (a free edge: on face rows both are elementary collapses). With
+    none left, the Markowitz choice takes the column holding a unit with the
+    fewest nonzeros, then the row in it with the fewest nonzeros, then the
+    lowest index. A column that a step changes is pushed on the heap again,
+    or onto the list when it has become free.
 
-
-def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Sparse exact elimination of unit pivots: (units, core).
-
-    ``rows`` holds the nonzeros of each matrix row and is consumed. Each
-    step takes a +-1 pivot and clears its column by row operations. Pivots
-    that need no fill come first, from a plain list: a row whose one entry
-    is +-1, or a column whose one nonzero is +-1 (a free edge: on face rows
-    both are elementary collapses). With none left, the Markowitz choice
-    takes the live column holding a unit with the fewest nonzeros, then the
-    row in it with the fewest nonzeros, then the lowest index; a column it
-    changes is pushed again. Each step is unimodular and the pivot row is
-    then cleared by column operations that touch nothing else, so SNF(M) =
-    (1,) * units + SNF(core) and rank_p(M) = units + rank_p(core) for every
-    prime p. The core keeps only the rows and columns that are still
-    nonzero, columns in increasing order, as a tuple of row tuples.
+    The modes differ only in the pivot row. By default it leaves, cleared by
+    column operations that touch nothing else, so SNF(M) = (1,) * units +
+    SNF(core) and rank_p(M) = units + rank_p(core) for every prime p; the
+    core keeps the rows and columns that are still nonzero, columns in
+    increasing order, as a tuple of row tuples. With keep (Gauss-Jordan, for
+    gram_det_operand) it stays, so only row operations are used: it is
+    never chosen again, its entries still count in their columns, and later
+    pivots clear their columns from it. That gives M ~ [[I_s, X], [0, C]] up
+    to row signs and a column permutation, returned as {pivot column: its
+    row of X} (the pivot row less its pivot entry) and the nonzero rows of
+    C, all over the non-pivot columns.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     cols: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            cols.setdefault(j, set()).add(i)
     free: list[tuple[int, int]] = []  # (row, column) candidates, checked when taken
     for i, row in enumerate(rows):
+        for j in row:
+            rs = cols.get(j)
+            if rs is None:
+                cols[j] = {i}
+            else:
+                rs.add(i)
         if len(row) == 1:
             ((j, v),) = row.items()
             if v in (1, -1):
                 free.append((i, j))
+    heap = []
     for j, rs in cols.items():
         if len(rs) == 1:
             (i,) = rs
             if rows[i][j] in (1, -1):
                 free.append((i, j))
-    heap = [(len(rs), j) for j, rs in cols.items()]
+                continue  # a step that changes the column pushes it
+        heap.append((len(rs), j))
     heapq.heapify(heap)
-    units = 0
+    pivots: dict[int, int] = {}  # pivot row: its column
     while True:
         if free:
             r, c = free.pop()
             col = cols[c]
-            if rows[r].get(c) not in (1, -1) or (len(rows[r]) > 1 and len(col) > 1):
-                continue  # no longer free; the heap holds its column
+            if r in pivots or rows[r].get(c) not in (1, -1) or (len(rows[r]) > 1 and len(col) > 1):
+                continue  # no longer free; a change pushed the column if it can pivot
         elif heap:
             count, c = heappop(heap)
             col = cols[c]
@@ -447,7 +398,7 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], 
             r, best = -1, 0
             for i in col:
                 row = rows[i]
-                if row[c] in (1, -1):
+                if row[c] in (1, -1) and i not in pivots:
                     size = len(row)
                     if r < 0 or size < best or (size == best and i < r):
                         r, best = i, size
@@ -456,9 +407,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], 
         else:
             break
         prow = rows[r]
-        rows[r] = {}
         a = prow.pop(c)
         others = prow.items()
+        cleared = len(col) > 1
         for i in col:
             if i == r:
                 continue
@@ -480,19 +431,27 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[int, tuple[tuple[int, ...], 
                 if v in (1, -1):
                     free.append((i, j))
         col.clear()
-        units += 1
+        pivots[r] = c
+        if not keep:
+            rows[r] = {}
+        elif not cleared:
+            continue  # the column was the pivot row's alone: nothing changed
         for j in prow:
             rs = cols[j]
-            rs.discard(r)
+            if not keep:
+                rs.discard(r)
             if rs:
-                heappush(heap, (len(rs), j))
                 if len(rs) == 1:
                     (i,) = rs
                     if rows[i][j] in (1, -1):
                         free.append((i, j))
+                        continue
+                heappush(heap, (len(rs), j))
+    if keep:
+        live = [row for i, row in enumerate(rows) if row and i not in pivots]
+        return {c: rows[i] for i, c in pivots.items()}, live
     live = sorted(j for j, rs in cols.items() if rs)
-    core = tuple(tuple(row.get(j, 0) for j in live) for row in rows if row)
-    return units, core
+    return len(pivots), tuple(tuple(row.get(j, 0) for j in live) for row in rows if row)
 
 
 def _dense_smith(rows) -> tuple[int, ...]:
@@ -590,7 +549,10 @@ def _dense_smith(rows) -> tuple[int, ...]:
 
 def _divisors(units: int, core) -> tuple[int, ...]:
     """Nonzero elementary divisors from a unit-pivot reduction (_eliminate):
-    (1,) * units + SNF(core)."""
+    (1,) * units + SNF(core). SNF(A) = SNF(A^T), so a tall core goes to
+    _dense_smith transposed: its column operations run over every row."""
+    if core and len(core) > len(core[0]):
+        core = tuple(zip(*core))
     return (1,) * units + _dense_smith(core)
 
 

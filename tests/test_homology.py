@@ -8,7 +8,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
-from cochainlab.cochains import edge_list
+from cochainlab.cochains import cocycle_triangles, edge_list, random_cochain
 from cochainlab import complexes
 from cochainlab.complexes import (
     TwoComplex,
@@ -18,7 +18,7 @@ from cochainlab.complexes import (
     sample_linial_meshulam,
     sample_one_out,
 )
-from cochainlab.groups import Group
+from cochainlab.groups import Group, SymmetricDistribution
 from cochainlab.homology import (
     _dense_smith,
     _divisors,
@@ -229,6 +229,56 @@ def test_gram_det_operand_order_rule():
         assert sign * bareiss_det(M) == _gram(columns, r) == det, columns
 
 
+@st.composite
+def _gram_columns(draw):
+    """(r, columns): up to 2r + 2 sparse columns with entries in -2..2 over
+    row keys 0..r-1, among them empty (all-zero) and repeated columns. Some
+    draws lean to +-1 entries, or put a +-1 at row i of the i-th column, so
+    that the reduction finds enough pivots for the bordered matrix to win."""
+    r = draw(st.integers(1, 8))
+    entry = draw(st.sampled_from([st.sampled_from([-1, 1, 1, 2]), st.integers(-2, 2)]))
+    column = st.dictionaries(st.integers(0, r - 1), entry, max_size=min(r, 3)).map(
+        lambda col: {i: v for i, v in col.items() if v}
+    )
+    m = draw(st.integers(0, 2 * r + 2))
+    columns = draw(st.lists(column, min_size=m, max_size=m))
+    if draw(st.booleans()):  # a +-1 at row i of an i-th column: mostly full rank
+        for i, col in enumerate(columns[:r]):
+            col[i] = draw(st.sampled_from([-1, 1]))
+    if columns:
+        index = st.integers(0, m - 1)
+        for a, b in draw(st.lists(st.tuples(index, index), max_size=3)):
+            columns[a] = dict(columns[b])  # a repeated column
+    return r, draw(st.permutations(columns))
+
+
+@given(_gram_columns())
+def test_gram_det_operand_property(case):
+    # the keep-mode reduction on columns that no face set gives: the operand
+    # is never larger than B B^T, and its determinant is the Gram determinant
+    r, columns = case
+    before = [dict(col) for col in columns]
+    sign, M = gram_det_operand(columns, r)
+    assert len(M) <= r
+    assert sign * bareiss_det(M) == _gram(columns, r)
+    assert columns == before  # not modified
+
+
+@pytest.mark.parametrize("modulus, order_sum", [(2, 2850), (3, 2170)])
+def test_gram_det_operand_orders_on_audit_sets(modulus, order_sum):
+    # a reduction that misses unit pivots stays exact but hands Bareiss a
+    # larger matrix: pin the operand orders over the layer audit's 288
+    # seed-3 face sets at n = 8 (mean order 9.9 over Z/2, where r = 21)
+    group = Group((modulus,))
+    cfg = ExperimentConfig(3, group=group)
+    nu = SymmetricDistribution.uniform(group)
+    total = 0
+    for rep in range(288):
+        Y = cocycle_triangles(random_cochain(8, nu, cfg.replica_rng("layer", 8, rep)))
+        total += len(gram_det_operand(_star_face_rows(8, complexes.face_set(8, Y)), 21)[1])
+    assert total == order_sum
+
+
 def test_snf_of_diagonal():
     M = np.diag([6, 4, 0, 10]).astype(np.int64)
     assert smith_normal_form(M) == (2, 2, 60)
@@ -369,11 +419,17 @@ def test_snf_unit_elimination_matches_dense():
     cases.append(boundary_matrices(PROJECTIVE_PLANE_6))
     cases += [boundary_matrices(full_two_skeleton(n)) for n in range(4, 8)]
     cases.append(np.array([[2**40, 1], [1, 2**40]], dtype=object))
-    cores = 0
+    # tall matrices with no +-1 entry: the core is all of M, and _divisors
+    # hands it to the dense loop transposed
+    rng = np.random.default_rng(21)
+    cases += [rng.choice([-6, -4, -3, -2, 0, 2, 3, 5], size=shape) for shape in ((9, 4), (12, 5), (7, 6))]
+    cores = tall = 0
     for M in cases:
         assert smith_normal_form(M) == _dense_divisors(M)
-        cores += bool(_eliminate(_matrix_rows(M))[1])
-    assert cores >= 1
+        core = _eliminate(_matrix_rows(M))[1]
+        cores += bool(core)
+        tall += bool(core) and len(core) > len(core[0])
+    assert cores >= 1 and tall >= 3
     # the projective plane's core is where its torsion lives
     units, core = _eliminate(_matrix_rows(boundary_matrices(PROJECTIVE_PLANE_6)))
     assert units == 9 and _dense_smith(core) == (2,)

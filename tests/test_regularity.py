@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from cochainlab import regularity
-from cochainlab.graphons import StepKernel, cut_norm, kernel_difference, random_kernel
+from cochainlab.graphons import (
+    StepKernel,
+    cut_norm,
+    kernel_difference,
+    max_box_exact,
+    max_box_heuristic,
+    random_kernel,
+)
 from cochainlab.groups import Group
 from cochainlab.regularity import (
     FKResult,
@@ -111,6 +118,31 @@ def test_matrix_cut_norm_oracle():
     for _ in range(10):
         M = rng.normal(size=(5, 5))
         assert abs(matrix_cut_norm(M) - _cut_norm_oracle(M)) < 1e-12
+
+
+def _non_finite_calls(bad):
+    M = np.ones((5, 5))
+    M[2, 3] = bad
+    values = np.zeros((5, 5, 2))
+    values[2, 3, 1] = values[3, 2, 1] = bad
+    W = StepKernel(Group((2,)), np.full(5, 0.2), values, _validate=False)
+    return {
+        "max_box_exact": lambda: max_box_exact(M),
+        "max_box_heuristic": lambda: max_box_heuristic(M, np.random.default_rng(0)),
+        "matrix_cut_norm": lambda: matrix_cut_norm(M),
+        "matrix_cut_norm_lower": lambda: matrix_cut_norm_lower(M),
+        "cut_norm": lambda: cut_norm(W),
+        "fk_decompose": lambda: fk_decompose(M, 0.2),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_non_finite_calls(0.0)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_cut_norm_entry_points_reject_non_finite_entries(entry, bad):
+    # a NaN compares false in every scan, so the exact oracle read 0.0 and
+    # fk_decompose died in math.ceil; each entry point names the invariant
+    with pytest.raises(ValueError, match="matrix entries must be finite, found NaN or infinity"):
+        _non_finite_calls(bad)[entry]()
 
 
 def test_matrix_cut_norm_lower_bounds_exact():
