@@ -308,7 +308,7 @@ def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:
         s = len(pivots)
         if m + r - 2 * s < r:
             t = r - s  # rows of C, the zero ones first
-            at = {j: k for k, j in enumerate((j for j in range(m) if j not in pivots), start=t)}
+            at = dict(zip([j for j in range(m) if j not in pivots], range(t, t + m - s)))
             M = [[0] * (t + m - s) for _ in range(t + m - s)]
             for k in range(t, t + m - s):
                 M[k][k] = 1
@@ -374,23 +374,25 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
             ((j, v),) = row.items()
             if v in (1, -1):
                 free.append((i, j))
-    heap = []
     for j, rs in cols.items():
         if len(rs) == 1:
             (i,) = rs
             if rows[i][j] in (1, -1):
                 free.append((i, j))
-                continue  # a step that changes the column pushes it
-        heap.append((len(rs), j))
-    heapq.heapify(heap)
+    heap = None  # built from the live counts when the list first runs dry
     pivots: dict[int, int] = {}  # pivot row: its column
     while True:
         if free:
             r, c = free.pop()
             col = cols[c]
             if r in pivots or rows[r].get(c) not in (1, -1) or (len(rows[r]) > 1 and len(col) > 1):
-                continue  # no longer free; a change pushed the column if it can pivot
-        elif heap:
+                continue  # no longer free; the heap holds the column if it can pivot
+        else:
+            if heap is None:
+                heap = [(len(rs), j) for j, rs in cols.items() if rs]
+                heapq.heapify(heap)
+            if not heap:
+                break
             count, c = heappop(heap)
             col = cols[c]
             if count != len(col):
@@ -404,8 +406,6 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
                         r, best = i, size
             if r < 0:
                 continue  # pushed again if a later step changes this column
-        else:
-            break
         prow = rows[r]
         a = prow.pop(c)
         others = prow.items()
@@ -446,7 +446,8 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
                     if rows[i][j] in (1, -1):
                         free.append((i, j))
                         continue
-                heappush(heap, (len(rs), j))
+                if heap is not None:
+                    heappush(heap, (len(rs), j))
     if keep:
         live = [row for i, row in enumerate(rows) if row and i not in pivots]
         return {c: rows[i] for i, c in pivots.items()}, live
