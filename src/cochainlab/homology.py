@@ -365,11 +365,7 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
     free: list[tuple[int, int]] = []  # (row, column) candidates, checked when taken
     for i, row in enumerate(rows):
         for j in row:
-            rs = cols.get(j)
-            if rs is None:
-                cols[j] = {i}
-            else:
-                rs.add(i)
+            cols.setdefault(j, set()).add(i)
         if len(row) == 1:
             ((j, v),) = row.items()
             if v in (1, -1):

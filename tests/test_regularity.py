@@ -139,8 +139,8 @@ def _non_finite_calls(bad):
 @pytest.mark.parametrize("entry", list(_non_finite_calls(0.0)))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_cut_norm_entry_points_reject_non_finite_entries(entry, bad):
-    # a NaN compares false in every scan, so the exact oracle read 0.0 and
-    # fk_decompose died in math.ceil; each entry point names the invariant
+    # a NaN compares false in every scan, so an unchecked oracle reads 0.0;
+    # each entry point refuses the matrix and names the invariant
     with pytest.raises(ValueError, match="matrix entries must be finite, found NaN or infinity"):
         _non_finite_calls(bad)[entry]()
 
