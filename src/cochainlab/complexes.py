@@ -4,8 +4,9 @@ projection kernel behind the determinantal measure, exact containment
 probabilities, and small-n exhaustive enumeration.
 
 Exact probabilities take one determinant path, Cauchy-Binet over the integer
-boundary d2 by Bareiss. The one float determinant is enumerate_hypertrees'
-batch filter, and Smith normal form cross-checks every tree it accepts.
+boundary d2 by Bareiss. enumerate_hypertrees takes every candidate's torsion
+from a batched int64 Bareiss of its reduced-boundary square; nothing here
+factorises in floats.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from .cochains import _triu, edge_list
 from .homology import (
     MAX_BOUNDARY_EDGES,
+    _bareiss_abs_dets,
     _check_boundary_size,
     _divisors,
     _eliminate,
@@ -408,38 +410,26 @@ def enumerate_hypertrees(n: int):
     """All complexes with complete 1-skeleton, C(n-1,2) faces and finite H_1,
     each paired with its torsion order |H_1|.
 
-    Candidates are C(n,3)-choose-C(n-1,2) face sets, filtered by the
-    determinant of the reduced boundary square: nonzero iff the face set is
-    a hypertree. Torsion orders come from Smith normal form of the
-    boundary, taken from the star-reduced face rows, cross-checked against
-    |det|.
+    Candidates are the r-subsets S of the C(n,3) faces, r = C(n-1,2), in
+    lexicographic order. B_S^T, the faces of S against the edges inside
+    [n-1] in _reduced_boundary, is S's star-reduced face rows
+    (homology._star_face_rows), which keep the Smith normal form of d2. So S
+    is a hypertree iff det B_S != 0, and then |H_1| is the product of r
+    elementary divisors, |det B_S|. The determinants of 8192 candidates at a
+    time come from one batched int64 Bareiss (homology._bareiss_abs_dets).
     """
     if n < 3 or n > 6:
         raise ValueError("enumeration supported for 3 <= n <= 6 only")
-    B = _reduced_boundary(n).astype(float)
+    face_rows = _reduced_boundary(n).T  # B_S^T = face_rows[S]
     r = math.comb(n - 1, 2)
     tris = all_triangles(n)
-    F = len(tris)
-    combos = np.array(list(itertools.combinations(range(F), r)), dtype=np.intp)
+    candidates = itertools.combinations(range(len(tris)), r)
     out = []
-    chunk = 20000
-    for start in range(0, combos.shape[0], chunk):
-        batch = combos[start : start + chunk]
-        mats = B[:, batch.reshape(-1)].reshape(r, batch.shape[0], r).transpose(1, 0, 2)
-        dets = np.linalg.det(mats)
-        for row, d in zip(batch, dets):
-            ad = abs(d)
-            if ad < 0.5:
-                continue
-            order = round(ad)
-            if abs(ad - order) > 0.01:
-                raise ArithmeticError("float determinant too ambiguous to round")
-            X = TwoComplex._from_sorted(n, [tris[i] for i in row])
-            divisors = _divisors(*_eliminate(_star_face_rows(n, X.triangles)))  # not cached on X
-            torsion = math.prod(divisors)
-            if len(divisors) != r or torsion != order:
-                raise ArithmeticError(
-                    "Smith normal form disagrees with the reduced determinant"
-                )
-            out.append((X, torsion))
-    return out
+    while True:
+        batch = np.fromiter(itertools.islice(candidates, 8192), dtype=(np.intp, r))
+        if not len(batch):
+            return out
+        torsion = _bareiss_abs_dets(face_rows[batch])
+        keep = np.flatnonzero(torsion)
+        for S, t in zip(batch[keep].tolist(), torsion[keep].tolist()):
+            out.append((TwoComplex._from_face_set(n, tuple(tris[i] for i in S)), t))

@@ -18,7 +18,9 @@ SNF, and the dense min-abs SNF loop runs on the core only. An F_2 rank is
 always the cheaper XOR elimination of the same rows as bit masks. With
 keep, the pivot rows stay and later pivots clear them too (Gauss-Jordan):
 gram_det_operand uses it to shrink a Gram determinant det(B B^T) for
-bareiss_det, the one exact determinant.
+bareiss_det, the exact determinant of Python ints. _bareiss_abs_dets is the
+same elimination over a numpy batch of int64 squares, exact under a bound it
+checks, for the hypertree census.
 """
 from __future__ import annotations
 
@@ -277,6 +279,51 @@ def bareiss_det(M) -> int:
             Ai[k] = 0
         prev = akk
     return sign * A[n - 1][n - 1]
+
+
+def _bareiss_abs_dets(A) -> np.ndarray:
+    """|det| of every square in a batch of shape (N, r, r), r >= 1, as int64:
+    bareiss_det on all N at once.
+
+    A square with a zero column leaves the batch first, and one whose leading
+    column has no pivot leaves at that step. Each step swaps up the first row
+    with a nonzero leading entry and keeps the trailing block. Only |det| is
+    kept, so the swap's sign is dropped, and the exact division by the
+    previous pivot is skipped where it is +-1: a block is then +- the true
+    one, and the sign squares away in the next step's products.
+
+    int64 is exact: every entry Bareiss forms is a minor, at most
+    (r a^2)^(r/2) by Hadamard's bound for entries at most a in absolute
+    value, so nothing before a division exceeds 2 (r a^2)^r; that is checked
+    first (ValueError). A 0/+-1 boundary square has at most three nonzeros a
+    row, so its minors stay within 3^(r/2), 243 at r = 10.
+    """
+    A = np.array(A, dtype=np.int64)
+    N, r = A.shape[0], A.shape[-1]
+    a = int(np.abs(A).max()) if A.size else 0
+    if 2 * (r * a * a) ** r >= 1 << 63:
+        raise ValueError(f"int64 Bareiss needs 2 (r a^2)^r < 2^63; r = {r}, max |entry| a = {a}")
+    dets = np.zeros(N, dtype=np.int64)
+    live = np.flatnonzero((A != 0).any(axis=1).all(axis=1))
+    A = A[live]
+    prev = np.ones((len(live), 1, 1), dtype=np.int64)
+    while True:
+        nonzero = A[:, :, 0] != 0
+        has = nonzero.any(axis=1)
+        if not has.all():
+            A, live, prev, nonzero = A[has], live[has], prev[has], nonzero[has]
+        if A.shape[1] == 1:
+            break
+        at = nonzero.argmax(axis=1)
+        s = np.flatnonzero(at)
+        A[s, 0], A[s, at[s]] = A[s, at[s]], A[s, 0]
+        pivot = A[:, :1, :1]
+        X = A[:, 1:, 1:] * pivot
+        X -= A[:, 1:, :1] * A[:, :1, 1:]
+        np.floor_divide(X, prev, out=X, where=np.abs(prev) > 1)
+        A, prev = X, pivot
+    dets[live] = np.abs(A[:, 0, 0])
+    return dets
 
 
 def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:

@@ -168,10 +168,12 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
     Venn cells of S and T, and stops when no slice yields a violation or a
     slice hits its energy-bound round cap ceil(1/threshold^2). Each accepted
     round raises the stepped energy by at least threshold^2, which is the
-    termination certificate recorded in the trace.
+    termination certificate recorded in the trace. eps must be finite and
+    positive, and give a threshold whose square and cap are finite and
+    nonzero; otherwise a ValueError names eps before the first round.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive; got {eps!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     if isinstance(obj, StepKernel):
@@ -193,7 +195,13 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
         slices = [M]
         threshold = eps * scale
     certified = size <= EXACT_CUT_LIMIT  # _slice_box runs the exact oracle
-    cap = math.ceil(1.0 / threshold**2)
+    square = threshold**2
+    if not (0 < square < math.inf and 1.0 / square < math.inf):
+        raise ValueError(
+            f"eps = {eps!r} gives threshold {threshold!r}: the round cap"
+            " ceil(1/threshold^2) needs threshold^2 and its inverse finite and nonzero"
+        )
+    cap = math.ceil(1.0 / square)
     P = Partition.single_block(size)
     per_slice_rounds = [0] * len(slices)
     trace: list[dict] = []

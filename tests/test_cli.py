@@ -93,14 +93,14 @@ def test_arithmetic_error_exits_two(tmp_path, monkeypatch, capsys):
     import cochainlab.cli as cli
 
     def fail(*args, **kwargs):
-        raise ArithmeticError("float determinant too ambiguous to round")
+        raise ArithmeticError("conditioned trace 2.5 drifted from remaining rank 3")
 
     monkeypatch.setattr(cli, "homology_report", fail)
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"n": 4, "triangles": [[1, 2, 3]]}))
     assert run(["homology", "--in", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "error: float determinant too ambiguous to round" in err
+    assert "error: conditioned trace 2.5 drifted from remaining rank 3" in err
     assert "Traceback" not in err
 
 
@@ -274,8 +274,9 @@ def test_bad_group_flag_exits_two(capsys):
 
 
 def test_fk_bad_eps_exits_two(kernel_file, capsys):
-    assert run(["graphon", "fk", "--in", kernel_file, "--eps", "-1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for eps in ("-1", "nan", "inf", "1e-300"):
+        assert run(["graphon", "fk", "--in", kernel_file, "--eps", eps]) == 2, eps
+        assert capsys.readouterr().err.startswith("error: eps "), eps
 
 
 def _corrupt_kernel(kernel_file, tmp_path, path, value):

@@ -27,7 +27,15 @@ from cochainlab.complexes import (
     triangle_edge_counts,
 )
 from cochainlab.groups import Group, SymmetricDistribution
-from cochainlab.homology import bareiss_det, boundary_matrices, count_cocycles, smith_normal_form
+from cochainlab.homology import (
+    _divisors,
+    _eliminate,
+    _star_face_rows,
+    bareiss_det,
+    boundary_matrices,
+    count_cocycles,
+    smith_normal_form,
+)
 from cochainlab.lab.config import ExperimentConfig
 
 
@@ -740,6 +748,20 @@ def test_enumerate_counts():
     trees5 = enumerate_hypertrees(5)
     assert sum(t * t for _, t in trees5) == 5 ** 3
     assert all(t == 1 for _, t in trees5)
+
+
+@pytest.mark.parametrize("n, count", [(3, 1), (4, 4), (5, 125), (6, 46620)])
+def test_enumerated_torsion_is_the_smith_normal_form_of_each_tree(n, count):
+    # the census reads |H_1| off one batched determinant; each tree's
+    # star-reduced face rows (the same square, as sparse rows) must have
+    # C(n-1,2) elementary divisors whose product is that torsion
+    r = math.comb(n - 1, 2)
+    trees = enumerate_hypertrees(n)
+    assert len(trees) == count
+    for X, t in trees:
+        divisors = _divisors(*_eliminate(_star_face_rows(n, X.triangles)))
+        assert len(divisors) == r and math.prod(divisors) == t, X.triangles
+    assert sum(t * t for _, t in trees) == n ** math.comb(n - 2, 2)
 
 
 def test_enumerate_rejects_big_n():

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cochainlab.cochains import cocycle_triangles, edge_list, random_cochain
 from cochainlab import complexes
@@ -20,6 +20,7 @@ from cochainlab.complexes import (
 )
 from cochainlab.groups import Group, SymmetricDistribution
 from cochainlab.homology import (
+    _bareiss_abs_dets,
     _dense_smith,
     _divisors,
     _eliminate,
@@ -201,6 +202,51 @@ def test_bareiss_takes_rows_of_big_ints():
     # rows of Python ints go in as they are: numpy would read 2^63 as a float
     assert bareiss_det([[2**63, 1], [1, 1]]) == 2**63 - 1
     assert bareiss_det([[2**70, 3], [5, 2**70]]) == 2**140 - 15
+
+
+@st.composite
+def _square_batches(draw):
+    """(N, r, r) int64 batches, r <= 8, entries in -3..3, some draws sparse;
+    a drawn matrix may get a repeated row (singular), a zero column, or a
+    zero leading entry over a nonzero one (a row swap at the first step)."""
+    r = draw(st.integers(1, 8))
+    N = draw(st.integers(0, 6))
+    entry = draw(st.sampled_from([st.integers(-3, 3), st.sampled_from([0, 0, 0, 1, -1, 3])]))
+    A = np.array(draw(st.lists(entry, min_size=N * r * r, max_size=N * r * r)), dtype=np.int64)
+    A = A.reshape(N, r, r)
+    for k in range(N):
+        change = draw(st.sampled_from(["none", "repeat row", "zero column", "swap"]))
+        i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+        if change == "repeat row" and r > 1:
+            A[k, i] = A[k, (i + 1) % r]
+        elif change == "zero column":
+            A[k, :, j] = 0
+        elif change == "swap" and r > 1:
+            A[k, 0, 0], A[k, 1 + i % (r - 1), 0] = 0, draw(st.sampled_from([-2, -1, 1, 3]))
+    return A
+
+
+@given(_square_batches())
+@example(np.zeros((0, 3, 3), dtype=np.int64))  # an empty batch
+@example(np.array([[[2]], [[0]], [[-3]]], dtype=np.int64))  # r = 1
+@example(np.array([[[0, 1, 0], [0, 0, 1], [1, 0, 0]]], dtype=np.int64))  # swaps at every step
+@example(np.array([[[1, 0, 2], [3, 0, 1], [2, 0, -1]]], dtype=np.int64))  # a zero column
+@example(np.array([[[1, 2], [2, 4]], [[0, 0], [3, 1]], [[2, 3], [3, 2]]], dtype=np.int64))  # singular
+def test_batched_bareiss_matches_bareiss_det(A):
+    before = A.copy()
+    dets = _bareiss_abs_dets(A)
+    assert dets.dtype == np.int64 and dets.shape == (len(A),)
+    assert dets.tolist() == [abs(bareiss_det(M)) for M in A.tolist()]
+    assert (A == before).all()  # not modified
+
+
+def test_batched_bareiss_refuses_entries_past_its_int64_bound():
+    # 2 (r a^2)^r must stay below 2^63: r = 8 takes |entries| up to 5, not 6
+    A = np.full((1, 8, 8), 5, dtype=np.int64)
+    assert _bareiss_abs_dets(A).tolist() == [0]
+    A[0, 0, 0] = -6
+    with pytest.raises(ValueError, match=r"int64 Bareiss needs 2 \(r a\^2\)\^r < 2\^63; r = 8"):
+        _bareiss_abs_dets(A)
 
 
 def _gram(columns, r):

@@ -185,8 +185,20 @@ def test_step_kernel_matches_step_matrix_per_slice():
 # the decomposition driver
 
 def test_fk_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        fk_decompose(np.zeros((3, 3)), 0.0)
+    W = random_kernel(Group((2,)), 4, np.random.default_rng(43))
+    # nan used to die in math.ceil, and inf to certify after zero rounds
+    for eps in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        for obj in (np.zeros((3, 3)), W):
+            with pytest.raises(ValueError, match=r"^eps must be finite and positive; got "):
+                fk_decompose(obj, eps)
+    # threshold^2 underflows to 0 (1e-300 was a ZeroDivisionError), its
+    # inverse overflows (1e-160), or the threshold itself overflows
+    cases = [(eps, obj) for eps in (1e-300, 1e-200, 1e-160) for obj in (np.eye(4), W)]
+    for eps, obj in cases + [(1e300, np.eye(4) * 1e300)]:
+        with pytest.raises(ValueError, match=r"^eps = \S+ gives threshold \S+: the round cap"):
+            fk_decompose(obj, eps)
+    # an eps whose cap is finite still runs
+    assert fk_decompose(np.eye(4), 1e-150).residual == 0.0
 
 
 def test_fk_constant_matrix_trivial():
