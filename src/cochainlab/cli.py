@@ -87,6 +87,18 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _parse_c(text: str) -> float:
+    """The LM face density constant: finite and >= 0 for every model, so a
+    model that ignores c does not pass a value that LM would refuse."""
+    try:
+        c = float(text)
+    except ValueError:
+        c = math.nan
+    if not (math.isfinite(c) and c >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0; got {text!r}")
+    return c
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_parse_ints, default=(6, 8, 10))
     p.add_argument("--group", type=_parse_group, default=Group((2,)))
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--c", type=float, default=2.0, help="lm face density constant")
+    p.add_argument("--c", type=_parse_c, default=2.0, help="lm face density constant")
     p.set_defaults(fn=cmd_ez1)
 
     p = sub.add_parser("layer-audit", help="bucket random labelings by their b value")
@@ -325,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", type=_parse_ints, default=(2,))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--include-mg", action="store_true", default=False)
-    p.add_argument("--c", type=float, default=2.0)
+    p.add_argument("--c", type=_parse_c, default=2.0)
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("sample", help="draw one random complex")
     _common(p)
     p.add_argument("--model", choices=MODELS, default="one-out")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, default=2.0)
+    p.add_argument("--c", type=_parse_c, default=2.0)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("homology", help="homology report for a complex JSON file")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
-from .homology import MAX_BOUNDARY_EDGES, face_edges
+from .homology import MAX_BOUNDARY_EDGES, _edge_offset, face_edges
 
 # cocycle_triangles gathers over all C(n,3) triangles, with their edge
 # indices cached per n (24 bytes a triangle), so C(n,3) is bounded as the
@@ -27,11 +27,6 @@ MAX_COCYCLE_TRIANGLES = 1 << 20
 @lru_cache(maxsize=16)
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 2))
-
-
-@lru_cache(maxsize=16)
-def _edge_index_map(n: int) -> dict:
-    return {e: i for i, e in enumerate(edge_list(n))}
 
 
 @lru_cache(maxsize=16)
@@ -54,9 +49,12 @@ def _triangle_edges(n: int) -> np.ndarray:
 
 
 def edge_index(n: int, u: int, v: int) -> int:
+    """The position of edge {u, v} in edge_list(n), for either order."""
+    if not (1 <= u <= n and 1 <= v <= n and u != v):
+        raise ValueError(f"({u}, {v}) is not an edge of K_{n}: need distinct vertices in 1..{n}")
     if u > v:
         u, v = v, u
-    return _edge_index_map(n)[(u, v)]
+    return _edge_offset(n, u) + v
 
 
 class Cochain:

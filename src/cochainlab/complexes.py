@@ -183,6 +183,8 @@ def check_one_out_n(n: int) -> None:
 
 
 def check_lm_n(n: int, c: float) -> None:
+    if n < 3:
+        raise ValueError("need n >= 3")
     F = math.comb(n, 3)
     if F > MAX_LM_TRIANGLES:
         raise ValueError(

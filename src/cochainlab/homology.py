@@ -94,14 +94,19 @@ def _check_boundary_size(n: int, num_faces: int) -> None:
         )
 
 
+def _edge_offset(n: int, a: int) -> int:
+    """Edge (a < b) of K_n has lexicographic index _edge_offset(n, a) + b:
+    (a - 1)(2n - a)/2 edges start below a, and b - a - 1 before b."""
+    return (a - 1) * (2 * n - a) // 2 - a - 1
+
+
 def face_edges(n: int, triangles) -> list[tuple[int, int, int]]:
     """The lexicographic edge indices (uv, uw, vw) of each face (u < v < w):
     its column of d2 has +1, -1, +1 there, and they increase in that order.
     It builds only this map, three indices a face, so it checks only the
     edge bound; the callers that build d2 or its rows check the cells."""
     _check_edges(n)
-    # edge (a < b) has index (a - 1)(2n - a)/2 + b - a - 1 = off[a] + b
-    off = [(a - 1) * (2 * n - a) // 2 - a - 1 for a in range(n + 1)]
+    off = [_edge_offset(n, a) for a in range(n + 1)]
     return [(off[u] + v, off[u] + w, off[v] + w) for u, v, w in triangles]
 
 

@@ -279,6 +279,19 @@ def test_fk_bad_eps_exits_two(kernel_file, capsys):
         assert capsys.readouterr().err.startswith("error: eps "), eps
 
 
+@pytest.mark.parametrize("command", ["ez1-trend", "betti-trend", "sample"])
+@pytest.mark.parametrize("model", ["one-out", "hypertree", "lm"])
+def test_bad_c_exits_two_for_every_model(command, model, capsys):
+    """--c is checked when parsed, also for the models that ignore c."""
+    sizes = ["--n", "5"] if command == "sample" else ["--n", "5", "--samples", "1"]
+    for c in ("nan", "inf", "-inf", "-1", "x", ""):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--model", model, f"--c={c}", *sizes])
+        assert exc.value.code == 2, c
+        assert f"argument --c: must be a finite number >= 0; got {c!r}" in capsys.readouterr().err
+    assert run([command, "--model", model, "--c", "0", *sizes]) == 0  # LM with no faces
+
+
 def _corrupt_kernel(kernel_file, tmp_path, path, value):
     with open(kernel_file) as fh:
         doc = json.load(fh)

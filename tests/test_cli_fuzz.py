@@ -5,7 +5,10 @@ options.
 
 Every run must end in exit 0, 1 or 2 with no traceback: ``main`` turns the
 errors it expects into exit 2, so any other exception escapes the call and
-fails the test. Sizes stay small (n <= 12 where n is valid; the scans run
+fails the test. A fault that is bad in every context must exit 2: a value
+from an option's bad list, a missing or unreadable file, one that its
+format's reader refuses, and junk or a missing required option in argv.
+Sizes stay small (n <= 12 where n is valid; the scans run
 n <= 8 with at most 3 samples). certify runs a fixed suite, about 2 s with
 --quick, so it gets a few examples over its common options only.
 """
@@ -24,7 +27,12 @@ from cochainlab.graphons import random_w00
 from cochainlab.groups import MAX_TABLE_ORDER, Group
 from cochainlab.lab.config import MAX_LAYERS, ExperimentConfig
 from cochainlab.lab.experiments import MAX_AUDIT_CELLS
-from cochainlab.serialize import kernel_to_json_dict
+from cochainlab.serialize import (
+    complex_from_json_dict,
+    distribution_from_json,
+    kernel_from_json_dict,
+    kernel_to_json_dict,
+)
 
 VALID_DOCS = {
     "complex": [{"n": 5, "triangles": [[1, 2, 3], [1, 2, 4], [2, 3, 4]]}],
@@ -74,39 +82,43 @@ def json_files(draw, kind, broken):
     return json.dumps(doc)
 
 
-# Each option: (valid values, bad values), or the format of the file it reads,
-# or None for a switch.
+# Each option: (valid values, bad values, values bad only in some contexts),
+# or the format of the file it reads, or None for a switch. A bad value must
+# exit 2; a context-dependent one may exit 0: --seed -1 is a valid seed, a
+# sample of n = 51 passes the caps of one-out and LM but not hypertree's, and
+# a --c above n is refused by LM alone (c/n is its face probability).
 BAD = ["x", "", "-1", "1e3"]
 MODEL = {
-    "--model": (["one-out", "lm", "hypertree"], ["bad"]),
-    "--c": (["2", "0.5"], ["nan", "inf", "1e308", "0"] + BAD),
+    "--model": (["one-out", "lm", "hypertree"], ["bad"], []),
+    "--c": (["2", "0.5", "0"], ["nan", "inf", "-inf"] + BAD[:3], ["1e3", "1e308"]),
 }
-N_LISTS = (["3", "5,8", "6:8:2"], ["2", "0", "4,1", "3:8:0", "2.5"] + BAD)
-SAMPLES = (["1", "3"], ["0", "-1", "2.5"] + BAD)
-GROUP = (["2", "3", "2,2"], ["1", "0", "-2", "2,1", "2,,3", "2.5"] + BAD)
+N_LISTS = (["3", "5,8", "6:8:2"], ["2", "0", "4,1", "3:8:0", "2.5"] + BAD, [])
+SAMPLES = (["1", "3"], ["0", "-1", "2.5"] + BAD, [])
+GROUP = (["2", "3", "2,2"], ["1", "0", "-2", "2,1", "2,,3", "2.5"] + BAD, [])
 # the scans that build the group's addition table also reject an order past it
-TABLE_GROUP = (GROUP[0], GROUP[1] + ["100000"])
+TABLE_GROUP = (GROUP[0], GROUP[1] + ["100000"], [])
 OPTIONS = {
-    "homology": {"--in": "complex", "--p": (["2", "3", "1000003"], ["4", "1", "0"] + BAD), "--no-snf": None},
-    "sample": {"--n": (["3", "5", "8"], ["2", "51", "100000", "0"] + BAD), **MODEL},
+    "homology": {"--in": "complex", "--p": (["2", "3", "1000003"], ["4", "1", "0"] + BAD, []), "--no-snf": None},
+    "sample": {"--n": (["3", "5", "8"], ["2", "100000", "0"] + BAD, ["51"]), **MODEL},
     "cutnorm": {"--in": "kernel"},
     "b": {"--in": "kernel"},
     "rate": {"--in": "kernel", "--nu": "nu"},
     "convolve": {"--in": "kernel", "--with": "kernel", "--exact": None},
-    "fk": {"--in": "kernel", "--eps": (["0.2", "0.5"], ["0", "nan", "inf", "1e-300"] + BAD)},
+    # every kernel is eps-regular past its largest box, so a large eps is valid
+    "fk": {"--in": "kernel", "--eps": (["0.2", "0.5", "1e3"], ["0", "nan", "inf", "1e-300"] + BAD[:3], [])},
     "ez1-trend": {"--n": N_LISTS, "--samples": SAMPLES, "--group": GROUP, **MODEL},
     "betti-trend": {
         "--n": N_LISTS,
         "--samples": SAMPLES,
-        "--primes": (["2", "3", "2,3", "1000003"], ["4", "1", "0", "-3"] + BAD),
+        "--primes": (["2", "3", "2,3", "1000003"], ["4", "1", "0", "-3"] + BAD, []),
         "--include-mg": None,
         **MODEL,
     },
     "layer-audit": {
-        "--n": (["3", "5", "8"], ["2", "0", "-1", "100000"] + BAD),
+        "--n": (["3", "5", "8"], ["2", "0", "-1", "100000"] + BAD, []),
         "--samples": SAMPLES,
         "--group": TABLE_GROUP,
-        "--layers": (["1", "3", "10"], ["0", "-1", "2000000000"] + BAD),
+        "--layers": (["1", "3", "10"], ["0", "-1", "2000000000"] + BAD, []),
     },
     "ldp-numerics": {"--samples": SAMPLES, "--group": TABLE_GROUP},
 }
@@ -117,10 +129,20 @@ REQUIRED = {"--in", "--n", "--eps"}
 # and an "argv" fault that drops the last option never reaches them.
 SCAN_REQUIRED = REQUIRED | {"--samples", "--seed"}
 COMMON = {
-    "--seed": (["7", str(2**70), "-1"], BAD),
-    "--format": (["csv", "json"], ["xml"]),
-    "--out": (["out.txt"], [".", "no/x"]),
+    "--seed": (["7", str(2**70), "-1"], ["x", "", "1e3"], ["-1"]),
+    "--format": (["csv", "json"], ["xml"], []),
+    "--out": (["out.txt"], [".", "no/x"], []),
 }
+READERS = {"complex": complex_from_json_dict, "kernel": kernel_from_json_dict, "nu": distribution_from_json}
+
+
+def _refused(kind, text):
+    """Whether the reader of format ``kind`` refuses the file contents."""
+    try:
+        READERS[kind](json.loads(text))
+    except (ValueError, KeyError, ArithmeticError):
+        return True
+    return False
 
 
 @pytest.mark.parametrize("command", sorted(OPTIONS))
@@ -133,6 +155,7 @@ def test_cli_exits_cleanly_on_any_input(tmp_path, command, data):
     fault = data.draw(st.sampled_from(["argv", *(f for f, v in options.items() if v is not None)]))
     argv = [command] if command in {"homology", "sample", *SCANS} else ["graphon", command]
     required = SCAN_REQUIRED if command in SCANS else REQUIRED
+    bad = fault == "argv"
     for flag, values in options.items():
         broken = flag == fault
         if not (broken or flag in required or data.draw(st.booleans())):
@@ -140,20 +163,28 @@ def test_cli_exits_cleanly_on_any_input(tmp_path, command, data):
         if values is None:
             argv.append(flag)
         elif isinstance(values, tuple):
-            value = data.draw(st.sampled_from(values[broken]))
+            value = data.draw(st.sampled_from(values[1] + values[2] if broken else values[0]))
+            bad |= broken and value in values[1]
             argv += [flag, str(tmp_path / value) if flag == "--out" else value]
         else:
             path = tmp_path / f"{flag[2:]}.json"
             path.unlink(missing_ok=True)
             where = data.draw(st.sampled_from(["file"] * 8 + ["missing", "directory"])) if broken else "file"
             if where == "file":
-                path.write_text(data.draw(json_files(values, broken)))
+                path.write_text(text := data.draw(json_files(values, broken)))
+            bad |= broken and (where != "file" or _refused(values, text))
             argv += [flag, str(tmp_path if where == "directory" else path)]
     if fault == "argv":
-        junk = data.draw(st.sampled_from(["--bogus", "extra", "--in", "drop"]))
-        argv = argv[:-2] if junk == "drop" else argv + [junk]
+        # a trailing --seed lacks its value (betti-trend reads --in as --include-mg);
+        # the scans have no required option to drop
+        junk = data.draw(st.sampled_from(["--bogus", "extra", "--seed"] + ["drop"] * (command not in SCANS)))
+        if junk == "drop":
+            i = next(i for i, token in enumerate(argv) if token in REQUIRED)
+            del argv[i : i + 2]
+        else:
+            argv.append(junk)
     code, err = _run(argv)
-    assert code in (0, 1, 2), (argv, code)
+    assert code in ((2,) if bad else (0, 1, 2)), (argv, code)
     assert "Traceback" not in err, argv
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,33 @@ def test_edge_list_order_and_index():
         assert u < v
         assert edge_index(n, u, v) == i
         assert edge_index(n, v, u) == i
+
+
+def test_edge_index_is_the_position_in_edge_list():
+    for n in range(2, 13):
+        for i, (u, v) in enumerate(edge_list(n)):
+            assert edge_index(n, u, v) == edge_index(n, v, u) == i
+
+
+def test_edge_index_builds_no_table():
+    """The index is a closed form; a dict of the C(1024, 2) edges took 77 MB."""
+    tracemalloc.start()
+    try:
+        # edges (a, b) with a < 5 come first, then (5, 6), ..., (5, 899)
+        assert edge_index(1024, 5, 900) == edge_index(1024, 900, 5) == sum(1024 - a for a in range(1, 5)) + 894
+        assert edge_index(1024, 1023, 1024) == 1024 * 1023 // 2 - 1
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("u, v", [(3, 3), (0, 2), (2, 0), (1, 6), (-1, 2)])
+def test_edge_index_refuses_a_pair_that_is_no_edge(u, v):
+    with pytest.raises(ValueError, match=rf"^\({u}, {v}\) is not an edge of K_5"):
+        edge_index(5, u, v)
+    f = Cochain(Group((2,)), 5, np.zeros(10, dtype=int))
+    with pytest.raises(ValueError):
+        f.value(u, v)
 
 
 def test_edge_list_cache_is_bounded():

@@ -425,6 +425,17 @@ def test_kalai_weighted_hypertree_count():
         assert avoidance_probability_exact(n, all_triangles(n)) == 1, n
 
 
+@pytest.mark.parametrize("n", [2, 1, 0, -1])
+def test_samplers_refuse_fewer_than_three_vertices(n):
+    """Every sampler needs n >= 3; LM took n = 2 as an empty complex, and
+    n = 0 failed dividing c by n."""
+    rng = np.random.default_rng(0)
+    for draw in (lambda: sample_one_out(n, rng), lambda: sample_hypertree(n, rng),
+                 lambda: sample_linial_meshulam(n, 1.0, rng)):
+        with pytest.raises(ValueError, match="need n >= 3"):
+            draw()
+
+
 def test_containment_functions_check_the_face_set():
     # every face needs three distinct integer vertices in 1..n, and the
     # message names the face

@@ -379,6 +379,96 @@ def test_max_box_tiled_scan_matches_one_mask_scan(k, shape, m, entries, zero_row
     assert all(got == ref for got, ref in blocks)
 
 
+def _full_scan_max_box(A):
+    """max_box_exact with every high mask scanned in float64: the screen's
+    size rule set past any k, so its witness code runs on the full scan."""
+    with mock.patch.object(graphons, "_SCREEN_MIN_HIGH", 1 << 30):
+        return max_box_exact(A)
+
+
+def _screen_and_per_mask_maxima(A):
+    """(screened maxima, float64 maxima times the screen's scale, bound e)
+    per high mask of a k >= 18 slice, from max_box_exact's own tables; a
+    float64 maximum is floored at 0, as _scan_masks floors its best."""
+    k, m = A.shape
+    low, high = graphons._subset_sums(A[: graphons._TABLE_ROWS]), graphons._subset_sums(A[graphons._TABLE_ROWS :])
+    tables = (low, low.sum(axis=0), -high, high.sum(axis=0))
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(A).sum()))[1])
+    small = [(t * scale).astype(np.float32) for t in tables]
+    top = graphons._screen_masks(*small, range(high.shape[1]))
+    exact = [graphons._scan_masks(*tables, range(h, h + 1))[0] * scale for h in range(high.shape[1])]
+    return top, np.array(exact), (2 * m + 2) * 2.0**-24
+
+
+@settings(max_examples=60)
+@given(
+    k=st.integers(18, 20),
+    shape=st.sampled_from(["rectangular", "square", "symmetric", "column"]),
+    m=st.integers(1, 24),
+    entries=st.sampled_from(["normal", "integers", "up", "down", "spread", "half_zero", "negative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_box_screen_matches_full_float64_scan(k, shape, m, entries, seed):
+    """From 18 rows the float32 screen decides which high masks the float64
+    scan visits; the result is the full scan's, repr for repr. Small
+    integers make exact ties, within and across high masks; entries of
+    2^+-900 and exponents spread over e^+-300 need the power-of-two scaling
+    before the float32 cast. Each high mask's screened maximum lies within
+    the bound e of its float64 maximum."""
+    rng = np.random.default_rng(seed)
+    m = {"square": k, "symmetric": k, "column": 1}.get(shape, m)
+    A = rng.standard_normal((k, m))
+    if entries == "integers":
+        A = np.round(2 * A)
+    elif entries in ("up", "down"):
+        A *= 2.0 ** (900 if entries == "up" else -900)
+    elif entries == "spread":
+        A = np.sign(A) * np.exp(rng.uniform(-300, 300, size=A.shape))
+    elif entries == "half_zero":
+        A[rng.random(A.shape) < 0.5] = 0.0
+    elif entries == "negative":
+        A = -np.abs(A)
+    if shape == "symmetric":
+        A = A + A.T
+    assert repr(max_box_exact(A)) == repr(_full_scan_max_box(A))
+    if 2.0**-1000 < np.abs(A).sum() < 2.0**1000:
+        top, exact, e = _screen_and_per_mask_maxima(A)
+        assert np.all(np.abs(np.maximum(top, 0.0) - exact) <= e)
+
+
+def test_max_box_screen_rescans_masks_it_ranks_below_the_top():
+    """Row 0 = (a, -b) and row 13 = (-b, a'), a' one float64 ulp above a:
+    each single-row box beats the two-row one, and the float64 scan puts
+    the first maximum at S = {13}, high mask 1, one ulp above S = {0}. The
+    float32 screen ranks high mask 0 strictly higher, so the rescan must
+    take in the masks within 2e of the top, not the top alone."""
+    a, b = 1 + 5 * 2.0**-26, 0.75 + 2.0**-26
+    A = np.zeros((18, 2))
+    A[0] = [a, -b]
+    A[13] = [-b, np.nextafter(a, np.inf)]
+    top, exact, _ = _screen_and_per_mask_maxima(A)
+    assert exact[1] > exact[0] and top[0] > top[1] and top.argmax() == 0
+    result = max_box_exact(A)
+    assert repr(result) == repr(_full_scan_max_box(A))
+    assert result[1:3] == ([13], [1])
+
+
+@pytest.mark.parametrize(
+    "k, scale, screened",
+    [(17, 1.0, False), (18, 1.0, True), (20, 1.0, True), (18, 2.0**996, False), (18, 2.0**-1010, False)],
+)
+def test_max_box_screens_from_32_high_masks_with_total_in_range(monkeypatch, k, scale, screened):
+    """The screen runs from 32 high masks (k = 18) up, and only while
+    sum |A| lies in (2^-1000, 2^1000); otherwise the full scan runs."""
+    A = np.random.default_rng(k).standard_normal((k, 16)) * scale
+    expected = _full_scan_max_box(A)
+    calls = []
+    screen = graphons._screened_blocks
+    monkeypatch.setattr(graphons, "_screened_blocks", lambda *args: calls.append(1) or screen(*args))
+    assert repr(max_box_exact(A)) == repr(expected)
+    assert calls == ([1] if screened else [])
+
+
 @pytest.mark.parametrize("k", [0, 3, 13, 15])
 def test_max_box_of_slice_without_columns_is_empty_box(k):
     assert repr(graphons.max_box_exact(np.zeros((k, 0)))) == repr((0.0, [], [], 0.0))
