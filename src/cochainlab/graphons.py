@@ -416,7 +416,8 @@ def _screened_blocks(tables, total: float) -> list[range]:
     run = map if len(blocks) == 1 else _scan_pool().map
     top = np.concatenate(list(run(lambda masks: _screen_masks(*small, masks), blocks)))
     err = (2 * m + 2) * 2.0**-24  # |float32 candidate - float64 candidate * scale|
-    keep = np.flatnonzero(top >= np.float64(top.max()) - 2 * err)  # compared in float64
+    # in float64: rounded to float32, the threshold could rise past a mask that must pass
+    keep = np.flatnonzero(top >= np.float64(top.max()) - 2 * err)
     runs = np.split(keep, np.flatnonzero(np.diff(keep) != 1) + 1)
     return [range(int(r[0]) + b.start, int(r[0]) + b.stop) for r in runs for b in _mask_blocks(len(r))]
 
