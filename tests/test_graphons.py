@@ -390,7 +390,7 @@ def _screen_and_per_mask_maxima(A):
     """(screened maxima, float64 maxima times the screen's scale, bound e)
     per high mask of a k >= 18 slice, from max_box_exact's own tables; a
     float64 maximum is floored at 0, as _scan_masks floors its best."""
-    k, m = A.shape
+    m = A.shape[1]
     low, high = graphons._subset_sums(A[: graphons._TABLE_ROWS]), graphons._subset_sums(A[graphons._TABLE_ROWS :])
     tables = (low, low.sum(axis=0), -high, high.sum(axis=0))
     scale = math.ldexp(1.0, -math.frexp(float(np.abs(A).sum()))[1])
