@@ -4,9 +4,11 @@ The layer counts, `audited`, `both_neg_inf` and every float of these runs
 are pinned byte for byte, so a rewrite of the sample path (the cochain
 embedding, the b functional, the cocycle triangles, the exact avoidance
 probability) that changes any output fails here. The `graphon cutnorm` and
-`graphon fk` pins do the same for the exact cut-norm scan: the fk trace
-holds every witness (S, T) the scan found, so a scan that picks another
-first maximum fails here. The pins were recorded with numpy 2.4 on x86-64;
+`graphon fk` pins do the same for the cut-norm oracles: the fk trace holds
+every witness (S, T) the oracle found, so an exact scan that picks another
+first maximum fails here. The 30-part kernel is past the exact limit, so
+its pins hold the alternating heuristic: its value, its witnesses and the
+generator state it leaves for the next slice. The pins were recorded with numpy 2.4 on x86-64;
 a BLAS that sums in another order may change the last digits of the float
 columns.
 """
@@ -70,6 +72,7 @@ GRAPHON_KERNELS = {
     "z2-20": ((2,), 20, random_kernel),
     "z3-12": ((3,), 12, random_w00),
     "z2xz2-9": ((2, 2), 9, random_w00),
+    "z3-30": ((3,), 30, random_w00),
 }
 
 GRAPHON = {
@@ -97,6 +100,12 @@ GRAPHON = {
     ("z3-12", "fk --eps 0.1", "json"): "16f91385f1c6219cf471bc7b7c3db2c8750567a5e734eac20f5a252db58cdbaf",
     ("z3-12", "fk --eps 0.2", "csv"): "fbe612862744ccd3bd7a63c0010499f8b46f1ad3e94bd9f31297b3b23aa5d000",
     ("z3-12", "fk --eps 0.2", "json"): "d2947726a01262805612c7fc4114f52f88223a81089bab76122bab89f85d91f0",
+    ("z3-30", "cutnorm", "csv"): "a54d78234d1b5c8e13df3a83201b17466f2b9bb4731357a4f2e9ce470fe67290",
+    ("z3-30", "cutnorm", "json"): "79ff1c8116e72fb790cdd5c88185a99658f5c124d40836dd2f06c1061f365a5f",
+    ("z3-30", "fk --eps 0.05", "csv"): "819dec812d37d5d2ab79fb74a05e872d741b3c9b8277c9f8f68a29c98c49cdf2",
+    ("z3-30", "fk --eps 0.05", "json"): "27c6db522e61923fd30871c703573f4dafed94ffb2363d0f24d87b09add4e6c0",
+    ("z3-30", "fk --eps 0.2", "csv"): "f4c54a4da4e3b0350552a39bf2710e315da46a601c2417a12ff48f675fcb7a71",
+    ("z3-30", "fk --eps 0.2", "json"): "6188373d1a4a19f5a444f398089d4deb0be05ea2f1190b41a2efff5d6f1bdb65",
 }
 
 
