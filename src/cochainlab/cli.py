@@ -9,6 +9,7 @@ Exit codes: 0 pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -298,9 +299,15 @@ def cmd_graphon_fk(args) -> int:
     return 0
 
 
+# Options match only when spelled in full: with prefix matching,
+# betti-trend --in read as --include-mg, and a later option sharing a prefix
+# would change what an existing command line means.
+_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cochainlab")
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = _parser(prog="cochainlab")
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_parser)
 
     p = sub.add_parser("certify", help="run the certification suite")
     _common(p)
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_homology)
 
     g = sub.add_parser("graphon", help="kernel operations")
-    gsub = g.add_subparsers(dest="graphon_command", required=True)
+    gsub = g.add_subparsers(dest="graphon_command", required=True, parser_class=_parser)
 
     p = gsub.add_parser("cutnorm")
     _common(p)

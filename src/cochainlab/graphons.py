@@ -422,9 +422,12 @@ def _screened_blocks(tables, total: float) -> list[range]:
     return [range(int(r[0]) + b.start, int(r[0]) + b.stop) for r in runs for b in _mask_blocks(len(r))]
 
 
-def _check_finite(A: np.ndarray) -> None:
-    """Box sums need finite entries: a NaN compares false everywhere, so a
-    scan would return 0.0, and an infinity has no finite box to witness."""
+def _check_matrix(A: np.ndarray) -> None:
+    """Box sums need a 2-D matrix of finite entries: a NaN compares false
+    everywhere, so a scan would return 0.0, and an infinity has no finite box
+    to witness."""
+    if A.ndim != 2:
+        raise ValueError(f"need a 2-D matrix; got shape {A.shape}")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite, found NaN or infinity")
 
@@ -478,8 +481,8 @@ def max_box_exact(A: np.ndarray):
     tie exactly, and the witness is the lexicographically smaller of the
     two, not whichever mask rounded larger.
     """
+    _check_matrix(A)
     k, m = A.shape
-    _check_finite(A)
     if k > EXACT_CUT_LIMIT:
         raise CutNormTooLarge(
             f"{k} parts exceeds the exact cut-norm limit {EXACT_CUT_LIMIT}; "
@@ -513,47 +516,68 @@ def max_box_exact(A: np.ndarray):
 
 
 # Random starts of the alternating heuristic per slice (the first start is
-# all rows).
+# all rows), and the most alternations each start and sign may take.
 HEURISTIC_RESTARTS = 24
+HEURISTIC_ROUNDS = 60
+
+
+def _alternate(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Each row s of the 0/1 matrix S replaced by s <- [B @ [s @ B > 0] > 0]
+    until it repeats, or HEURISTIC_ROUNDS times; a row stops at its own
+    fixed point, and the rows still moving advance together."""
+    S = S.copy()
+    live = np.arange(len(S))
+    for _ in range(HEURISTIC_ROUNDS):
+        if not len(live):
+            break
+        T = ((S[live, None, :] @ B)[:, 0] > 0).astype(float)
+        new = ((B @ T[:, :, None])[:, :, 0] > 0).astype(float)
+        moved = (new != S[live]).any(axis=1)
+        S[live] = new
+        live = live[moved]
+    return S
 
 
 def max_box_heuristic(A: np.ndarray, rng: np.random.Generator):
     """Certified lower bound for max_box via alternating sign optimization.
 
     Each of HEURISTIC_RESTARTS restarts seeds row signs, then alternately
-    picks the optimal T for fixed S and vice versa until fixed point. The returned value is exact
-    for the witness found, hence a true lower bound.
+    picks the optimal T for fixed S and vice versa until fixed point on A,
+    then again on B = A and on B = -A from that S. The returned value is
+    exact for the witness found, hence a true lower bound.
+    The restarts advance together, as an (R, k) matrix of rows. Every
+    product is a stack of vector products (S[:, None, :] @ B, B @ T[:, :,
+    None]), which numpy runs as one gemv or dot per row, the call a single
+    start's s @ B or B @ t makes; a plain 2-D S @ B would be one gemm, which
+    sums in another order, so a row or column sum near 0 could round to the
+    other side and change the witness. The first restart in order, then
+    the sign +1 before -1, wins a tie, and the random starts are drawn one
+    restart at a time, so the witness and the generator's state are those of
+    running the restarts one after another.
     """
+    _check_matrix(A)
     k, m = A.shape
-    _check_finite(A)
-    best, bestS, bestT, bestval = 0.0, [], [], 0.0
-    for r in range(HEURISTIC_RESTARTS):
-        s = rng.integers(0, 2, size=k).astype(float) if r else np.ones(k)
-        for _ in range(60):
-            colsum = s @ A
-            t = (colsum > 0).astype(float)
-            rowsum = A @ t
-            s_new = (rowsum > 0).astype(float)
-            if np.array_equal(s_new, s):
-                break
-            s = s_new
-        for sign in (1.0, -1.0):
-            B = A * sign
-            sv = s.copy()
-            for _ in range(60):
-                t = ((sv @ B) > 0).astype(float)
-                sv_new = ((B @ t) > 0).astype(float)
-                if np.array_equal(sv_new, sv):
-                    break
-                sv = sv_new
-            t = ((sv @ B) > 0).astype(float)
-            val = float(sv @ A @ t)
-            if abs(val) > best:
-                best = abs(val)
-                bestS = [i for i in range(k) if sv[i]]
-                bestT = [j for j in range(m) if t[j]]
-                bestval = val
-    return best, bestS, bestT, bestval
+    starts = np.ones((HEURISTIC_RESTARTS, k))
+    for r in range(1, HEURISTIC_RESTARTS):
+        starts[r] = rng.integers(0, 2, size=k)
+    S = _alternate(starts, A)
+    vals = np.empty((HEURISTIC_RESTARTS, 2))
+    witnesses = []
+    for j, sign in enumerate((1.0, -1.0)):
+        B = A * sign
+        SV = _alternate(S, B)
+        T = ((SV[:, None, :] @ B)[:, 0] > 0).astype(float)
+        vals[:, j] = ((SV[:, None, :] @ A) @ T[:, :, None])[:, 0, 0]
+        witnesses.append((SV, T))
+    score = np.abs(vals.ravel())  # restart-major, then sign
+    score[np.isnan(score)] = 0.0  # a NaN sum never beats the best so far
+    best = int(np.argmax(score))
+    if not score[best] > 0:
+        return 0.0, [], [], 0.0
+    r, j = divmod(best, 2)
+    SV, T = witnesses[j]
+    val = float(vals[r, j])
+    return abs(val), np.flatnonzero(SV[r]).tolist(), np.flatnonzero(T[r]).tolist(), val
 
 
 def _weighted_slices(W: StepKernel) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphons import (
     StepKernel,
-    _check_finite,
+    _check_matrix,
     max_box_exact,
     max_box_heuristic,
     mirror_canonical,
@@ -186,7 +186,7 @@ def fk_decompose(obj, eps: float, rng: np.random.Generator | None = None) -> FKR
         M = np.asarray(obj, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("need a square matrix or a step kernel")
-        _check_finite(M)
+        _check_matrix(M)
         size = M.shape[0]
         mu = np.full(size, 1.0 / size)
         scale = float(np.abs(M).max())

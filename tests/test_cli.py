@@ -273,6 +273,20 @@ def test_bad_group_flag_exits_two(capsys):
         run(["ez1-trend", "--group", "0"])  # argparse type error
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["betti-trend", "--in"], "unrecognized arguments: --in"),  # not --include-mg
+    (["betti-trend", "--sam", "3"], "unrecognized arguments: --sam 3"),  # not --samples
+    (["ez1-trend", "--n", "5", "--samples", "1", "--mod", "lm"], "unrecognized arguments: --mod lm"),
+    (["graphon", "fk", "--i", "k.json", "--eps", "0.2"], "the following arguments are required: --in"),
+])
+def test_options_match_only_in_full(argv, message, capsys):
+    """An abbreviated option is an unknown one, in the subcommands' parsers
+    and in graphon's."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
 def test_fk_bad_eps_exits_two(kernel_file, capsys):
     for eps in ("-1", "nan", "inf", "1e-300"):
         assert run(["graphon", "fk", "--in", kernel_file, "--eps", eps]) == 2, eps

@@ -217,6 +217,82 @@ def test_max_box_witness_reproduces_value():
     assert hval <= best + 1e-12
 
 
+
+def _loop_max_box_heuristic(A, rng):
+    """Reference for graphons.max_box_heuristic: the restarts one after
+    another, each random start drawn as its restart begins, every product
+    one vector times A or B; the first strict maximum in (restart, sign)
+    order wins."""
+    k, m = A.shape
+    best, bestS, bestT, bestval = 0.0, [], [], 0.0
+    for r in range(graphons.HEURISTIC_RESTARTS):
+        s = rng.integers(0, 2, size=k).astype(float) if r else np.ones(k)
+        for _ in range(graphons.HEURISTIC_ROUNDS):
+            t = ((s @ A) > 0).astype(float)
+            s_new = ((A @ t) > 0).astype(float)
+            if np.array_equal(s_new, s):
+                break
+            s = s_new
+        for sign in (1.0, -1.0):
+            B = A * sign
+            sv = s.copy()
+            for _ in range(graphons.HEURISTIC_ROUNDS):
+                t = ((sv @ B) > 0).astype(float)
+                sv_new = ((B @ t) > 0).astype(float)
+                if np.array_equal(sv_new, sv):
+                    break
+                sv = sv_new
+            t = ((sv @ B) > 0).astype(float)
+            val = float(sv @ A @ t)
+            if abs(val) > best:
+                best = abs(val)
+                bestS = [i for i in range(k) if sv[i]]
+                bestT = [j for j in range(m) if t[j]]
+                bestval = val
+    return best, bestS, bestT, bestval
+
+
+_HEURISTIC_ENTRIES = {
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "integers": lambda rng, shape: rng.integers(-3, 4, size=shape).astype(float),
+    "tenths": lambda rng, shape: np.round(rng.standard_normal(shape), 1),
+    "overflow": lambda rng, shape: rng.choice([-1.5e308, -1.0, 0.0, 1.0, 1.5e308], size=shape),
+}
+
+
+@settings(max_examples=200)
+@given(
+    k=st.integers(0, 60),
+    m=st.integers(0, 60),
+    shape=st.sampled_from(["plain", "transposed", "slice", "symmetric", "row", "column", "zero"]),
+    entries=st.sampled_from(sorted(_HEURISTIC_ENTRIES)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_box_heuristic_matches_restart_loop(k, m, shape, entries, seed):
+    """The batched restarts return the loop's (value, S, T, signed), repr
+    for repr, and leave the generator where the loop leaves it. Entries in
+    tenths make row and column sums that are 0 in exact arithmetic round to
+    either side of it, so a product that sums in another order changes the
+    witness; cut_norm_lower's slices are strided views, and a transposed
+    matrix is column-major. Entries of 1.5e308 make box sums overflow to
+    infinities, and +inf and -inf columns in one box to a NaN value."""
+    rng = np.random.default_rng(seed)
+    if shape == "slice":
+        group = Group((2 + seed % 2,))
+        W = kernel_difference(random_w00(group, max(k, 1), rng), uniform_kernel(group))
+        A = graphons._weighted_slices(W)[:, :, seed % group.order]
+    else:
+        k, m = {"row": (1, m), "column": (k, 1), "symmetric": (k, k)}.get(shape, (k, m))
+        draw = _HEURISTIC_ENTRIES[entries]
+        A = np.zeros((k, m)) if shape == "zero" else draw(rng, (m, k)).T if shape == "transposed" else draw(rng, (k, m))
+        if shape == "symmetric":
+            A = np.triu(A) + np.triu(A, 1).T
+    batched, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _loop_max_box_heuristic(A, looped)
+        assert repr(max_box_heuristic(A, batched)) == repr(expected)
+    assert batched.bit_generator.state == looped.bit_generator.state
+
 def _chunked_max_box(A):
     """Reference oracle: every row subset as an indicator row, times A, in
     chunks of 2^14 masks; first maximum in increasing mask order."""

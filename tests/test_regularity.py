@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,29 +121,43 @@ def test_matrix_cut_norm_oracle():
         assert abs(matrix_cut_norm(M) - _cut_norm_oracle(M)) < 1e-12
 
 
-def _non_finite_calls(bad):
-    M = np.ones((5, 5))
-    M[2, 3] = bad
-    values = np.zeros((5, 5, 2))
-    values[2, 3, 1] = values[3, 2, 1] = bad
-    W = StepKernel(Group((2,)), np.full(5, 0.2), values, _validate=False)
-    return {
+def _entry_calls(bad):
+    """The cut-norm entry points on a 5 x 5 matrix with one entry ``bad``;
+    for a shape ``bad``, the four that take a matrix, on ones of that shape."""
+    if isinstance(bad, tuple):
+        M = np.ones(bad)
+    else:
+        M = np.ones((5, 5))
+        M[2, 3] = bad
+    calls = {
         "max_box_exact": lambda: max_box_exact(M),
         "max_box_heuristic": lambda: max_box_heuristic(M, np.random.default_rng(0)),
         "matrix_cut_norm": lambda: matrix_cut_norm(M),
         "matrix_cut_norm_lower": lambda: matrix_cut_norm_lower(M),
-        "cut_norm": lambda: cut_norm(W),
-        "fk_decompose": lambda: fk_decompose(M, 0.2),
     }
+    if isinstance(bad, tuple):
+        return calls
+    values = np.zeros((5, 5, 2))
+    values[2, 3, 1] = values[3, 2, 1] = bad
+    W = StepKernel(Group((2,)), np.full(5, 0.2), values, _validate=False)
+    return {**calls, "cut_norm": lambda: cut_norm(W), "fk_decompose": lambda: fk_decompose(M, 0.2)}
 
 
-@pytest.mark.parametrize("entry", list(_non_finite_calls(0.0)))
+@pytest.mark.parametrize("entry", list(_entry_calls(0.0)))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_cut_norm_entry_points_reject_non_finite_entries(entry, bad):
     # a NaN compares false in every scan, so an unchecked oracle reads 0.0;
     # each entry point refuses the matrix and names the invariant
     with pytest.raises(ValueError, match="matrix entries must be finite, found NaN or infinity"):
-        _non_finite_calls(bad)[entry]()
+        _entry_calls(bad)[entry]()
+
+
+@pytest.mark.parametrize("entry", list(_entry_calls((5,))))
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1-D", "3-D"])
+def test_cut_norm_entry_points_name_a_bad_shape(entry, shape):
+    # unpacking A.shape would fail with "not enough values to unpack"
+    with pytest.raises(ValueError, match=re.escape(f"need a 2-D matrix; got shape {shape}")):
+        _entry_calls(shape)[entry]()
 
 
 def test_matrix_cut_norm_lower_bounds_exact():
