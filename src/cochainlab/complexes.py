@@ -100,27 +100,30 @@ def _vertex(v) -> int:
     raise ValueError(f"triangle vertex {v!r} is not an integer")
 
 
-def _plain_int_faces(faces) -> bool:
-    """Every face a tuple or list, and every vertex of type int exactly."""
-    return set(map(type, faces)) <= {tuple, list} and set(
-        map(type, itertools.chain.from_iterable(faces))
-    ) <= {int}
-
-
 def face_set(n: int, triangles) -> tuple[tuple[int, int, int], ...]:
     """The face set Y as sorted distinct triples: the one check on faces, for
     TwoComplex and the containment functions. Each face must have three
     distinct integer vertices in 1..n (ValueError naming the face); vertex
     order and repeated faces do not matter.
 
-    When every face is a tuple or list of plain ints, as the samplers and
-    cocycle_triangles give, the faces are sorted with no per-vertex call;
-    any other vertex (bool, float, numpy integer, ...) goes through _vertex
-    in face order, so the first bad vertex is named as before."""
+    Faces that are already the answer, tuples (u, v, w) of plain ints with
+    0 < u < v < w <= n in strictly increasing order, as the samplers and
+    cocycle_triangles give, are returned with no sort. Other tuples or lists
+    of plain ints are sorted with no per-vertex call; any other vertex
+    (bool, float, numpy integer, ...) goes through _vertex in face order, so
+    the first bad vertex is named as before."""
     if n < 3:
         raise ValueError("need n >= 3")
     faces = triangles if isinstance(triangles, (tuple, list)) else list(triangles)
-    if _plain_int_faces(faces):
+    kinds = set(map(type, faces))
+    if kinds <= {tuple, list} and set(map(type, itertools.chain.from_iterable(faces))) <= {int}:
+        if (
+            kinds <= {tuple}
+            and set(map(len, faces)) <= {3}
+            and all(0 < u < v < w <= n for u, v, w in faces)
+            and all(map(operator.lt, faces, itertools.islice(faces, 1, None)))
+        ):
+            return tuple(faces)
         norm = set(map(tuple, map(sorted, faces)))
     else:
         norm = set()
@@ -353,23 +356,29 @@ def avoidance_probability_exact(n: int, Y) -> Fraction:
     the squared-torsion weights |H_1(S)|^2 of the hypertrees inside Y, and
     over the full skeleton that sum is Kalai's weighted hypertree count
     n^C(n-2,2) (Kalai 1983, Enumeration of Q-acyclic simplicial complexes).
-    One Bareiss determinant on integers, no floats anywhere. Gauss-Jordan on
-    s +-1 pivots of B_Y's edge rows, by row operations only (the keep mode
-    of the unit-pivot engine, homology._eliminate), gives
-    B_Y ~ [[I_s, X], [0, C]], and
+    One Bareiss determinant on integers, no floats anywhere, and B_Y B_Y^T
+    is never formed (homology.gram_det_operand). The determinant is 0 with
+    no elimination when |Y| < r or an edge inside [n-1] lies in no face of
+    Y. Otherwise Gauss-Jordan on s +-1 pivots of B_Y's edge rows, by row
+    operations only (the keep mode of the unit-pivot engine,
+    homology._eliminate), gives B_Y ~ [[I_s, X], [0, C]]: a zero row of C
+    certifies 0, and
     det(B_Y B_Y^T) = det(I + X^T X) det(C (I + X^T X)^-1 C^T)
                    = (-1)^(r-s) det([[I + X^T X, C^T], [C, 0]]).
     Bareiss runs on that bordered matrix, of order |Y| + r - 2s, when it is
-    smaller than r, and on B_Y B_Y^T otherwise (homology.gram_det_operand).
+    smaller than r. Otherwise, and with no keep mode when |Y| >= 2r, it runs
+    on the core the drop mode leaves of [[0, B_Y], [B_Y^T, I]], whose |det|
+    is det(B_Y B_Y^T).
     """
-    # n is bounded as for the full skeleton's d2 (n <= 53), before any
-    # r x r matrix is built
+    # n is bounded as for the full skeleton's d2 (n <= 53), before anything
+    # is built
     _check_boundary_size(n, math.comb(n, 3))
     # B_Y's columns are the star-reduced face rows: a face (u, v, n) keeps
     # only its edge uv inside [n-1]
     columns = _star_face_rows(n, face_set(n, Y))
     sign, M = gram_det_operand(columns, math.comb(n - 1, 2))
-    return Fraction(sign * bareiss_det(M), n ** math.comb(n - 2, 2))
+    det = bareiss_det(M)
+    return Fraction(abs(det) if sign is None else sign * det, n ** math.comb(n - 2, 2))
 
 
 def log_avoidance_probability_exact(n: int, Y) -> float:

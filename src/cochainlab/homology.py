@@ -16,9 +16,15 @@ TwoComplex caches this reduction of its face rows; odd-p ranks, cocycle
 counts, torsion and generator counts all read it, a rank never runs the
 SNF, and the dense min-abs SNF loop runs on the core only. An F_2 rank is
 always the cheaper XOR elimination of the same rows as bit masks. With
-keep, the pivot rows stay and later pivots clear them too (Gauss-Jordan):
-gram_det_operand uses it to shrink a Gram determinant det(B B^T) for
-bareiss_det, the exact determinant of Python ints. _bareiss_abs_dets is the
+keep, the pivot rows stay and later pivots clear them too (Gauss-Jordan).
+
+gram_det_operand turns a Gram determinant det(B B^T) into one operand for
+bareiss_det, the exact determinant of Python ints, and never forms B B^T.
+Three certificates of rank B < r give a 1 x 1 zero with no Bareiss work:
+fewer columns than rows, a row of B with no entry, a zero row of C after
+the keep mode. Otherwise the operand is the bordered matrix the keep mode
+leaves, when it is smaller than B B^T, or the core the drop mode leaves of
+[[0, B], [B^T, I]], whose |det| is det(B B^T). _bareiss_abs_dets is the
 same elimination over a numpy batch of int64 squares, exact under a bound it
 checks, for the hypertree census.
 """
@@ -331,49 +337,70 @@ def _bareiss_abs_dets(A) -> np.ndarray:
     return dets
 
 
-def gram_det_operand(columns, r: int) -> tuple[int, list[list[int]]]:
-    """(sign, M) with det(B B^T) = sign * bareiss_det(M), for the integer
-    matrix B of r rows whose columns are ``columns``, each a {row key:
-    nonzero} dict (not modified; at most r distinct keys overall).
+def gram_det_operand(columns, r: int) -> tuple[int | None, list[list[int]]]:
+    """(sign, M) with det(B B^T) = sign * bareiss_det(M), or with
+    det(B B^T) = |bareiss_det(M)| where sign is None, for the integer matrix
+    B of r rows whose columns are ``columns``, each a {row key: nonzero}
+    dict (not modified; at most r distinct keys overall). B B^T is never
+    formed.
 
-    The unit-pivot engine in its keep mode, _eliminate(rows, keep=True),
-    runs Gauss-Jordan on s +-1 pivots of B's rows by row operations only,
-    which are unimodular on the left, and brings B to [[I_s, X], [0, C]] up
-    to row signs and a column permutation. B B^T then has the determinant of
-    [[I + X X^T, X C^T], [C X^T, C C^T]], which by the Schur complement and
-    I - X^T (I + X X^T)^-1 X = (I + X^T X)^-1 is
-    det(I + X^T X) det(C (I + X^T X)^-1 C^T)
-    = (-1)^(r - s) det([[0, C], [C^T, I + X^T X]]).
-    M is that bordered matrix, of order m + r - 2s for m columns, when it is
-    smaller than r, and B B^T otherwise; the reduction is skipped when
-    m >= 2r, where it cannot win. Both matrices are symmetric with their
-    zero rows (of B B^T, or of C) first, so Bareiss returns 0 at its first
-    column when there is one.
+    M is the 1 x 1 zero matrix as soon as rank B < r is certain: when B has
+    m < r columns, when one of its r rows has no entry, or when the keep
+    mode leaves a zero row of C. The unit-pivot engine in its keep mode,
+    _eliminate(rows, keep=True), runs Gauss-Jordan on s +-1 pivots of B's
+    rows by row operations only, which are unimodular on the left, and
+    brings B to [[I_s, X], [0, C]] up to row signs and a column permutation.
+    B B^T then has the determinant of [[I + X X^T, X C^T], [C X^T, C C^T]],
+    which by the Schur complement and I - X^T (I + X X^T)^-1 X =
+    (I + X^T X)^-1 is det(I + X^T X) det(C (I + X^T X)^-1 C^T)
+    = (-1)^(r - s) det([[0, C], [C^T, I + X^T X]]). M is that bordered
+    matrix when its order m + r - 2s is below r.
+
+    Otherwise, and without the keep mode when m >= 2r, where it cannot win,
+    M is the core that the drop mode, _eliminate(rows), leaves of
+    N = [[0, B], [B^T, I_m]]. det N = det(-B B^T), and the drop mode's
+    pivots keep |det|, so det(B B^T) = |det core|, and 0 when a zero row or
+    column left the core. That core has no +-1 entry; it is not bounded by
+    r (an entry +-2 can leave one of order r + 1).
     """
     m = len(columns)
+    zero = (1, [[0]])
+    if m < r:
+        return zero
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # B's nonzero rows
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    if len(rows) < r:
+        return zero
     if m < 2 * r:
-        rows: defaultdict[int, dict[int, int]] = defaultdict(dict)  # B's nonzero rows
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                rows[i][j] = v
         pivots, live = _eliminate(list(rows.values()), keep=True)
         s = len(pivots)
+        t = r - s  # rows of C
+        if len(live) < t:
+            return zero
         if m + r - 2 * s < r:
-            t = r - s  # rows of C, the zero ones first
             at = dict(zip([j for j in range(m) if j not in pivots], range(t, t + m - s)))
             M = [[0] * (t + m - s) for _ in range(t + m - s)]
             for k in range(t, t + m - s):
                 M[k][k] = 1
             _add_outer_products(M, pivots.values(), at)  # I + X^T X; a row's sign squares away
-            for i, row in enumerate(live, start=t - len(live)):
+            for i, row in enumerate(live):
                 for j, v in row.items():
                     M[i][at[j]] = M[at[j]][i] = v
             return (-1) ** t, M
-    keys = sorted({i for col in columns for i in col})
-    at = {i: k for k, i in enumerate(keys, start=r - len(keys))}
-    M = [[0] * r for _ in range(r)]
-    _add_outer_products(M, columns, at)
-    return 1, M
+    # N's rows: B's rows again (the keep mode consumed ``rows``), column j
+    # keyed ~j (negative), then one row per column j of B, its entries at
+    # their row keys and the unit of I_m at ~j
+    bordered: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            bordered[i][~j] = v
+    units, core = _eliminate([*bordered.values(), *({**col, ~j: 1} for j, col in enumerate(columns))])
+    order = r + m - units
+    if len(core) < order or (core and len(core[0]) < order):
+        return zero
+    return None, list(core)
 
 
 def _add_outer_products(M, vectors, at) -> None:

@@ -103,6 +103,7 @@ def matrix_cut_norm(M: np.ndarray) -> float:
     """Exact normalized cut norm (1/n^2) max_{S,T} |sum_{S x T} M|;
     exhaustive over row subsets, so limited to n <= 24."""
     M = np.asarray(M, dtype=float)
+    _check_matrix(M)  # before n is read: a 0-D array has no shape[0]
     n = M.shape[0]
     return float(max_box_exact(M / (n * n))[0])
 
@@ -111,6 +112,7 @@ def matrix_cut_norm_lower(M: np.ndarray, rng: np.random.Generator | None = None)
     if rng is None:
         rng = np.random.default_rng(0)
     M = np.asarray(M, dtype=float)
+    _check_matrix(M)
     n = M.shape[0]
     return float(max_box_heuristic(M / (n * n), rng)[0])
 

@@ -117,8 +117,9 @@ def test_exact_avoidance_calls_bareiss_through_the_complexes_global(monkeypatch)
         before = len(orders)
         complexes.avoidance_probability_exact(8, Y)
         assert len(orders) == before + 1, Y
-    # the audit set takes the bordered matrix, smaller than r = C(7, 2)
-    assert orders[0] == orders[1] == 21 and orders[2] < 21, orders
+    # [] (m < r) and the audit set (a zero row of C) are certified zeros, of
+    # order 1; the full skeleton (m = 56 >= 2r, r = C(7, 2)) takes the drop core
+    assert orders == [1, 15, 1], orders
 
 
 def test_audit_b_and_cocycle_triangles_go_through_module_globals(monkeypatch):

@@ -394,28 +394,26 @@ def _face_lists(draw):
 
 
 def test_avoidance_matches_dense_gram_oracle(monkeypatch):
-    # the bordered unit-pivot determinant and the Gram determinant both equal
-    # the dense r x r Bareiss of B_Y B_Y^T, and both branches are exercised
+    # the certified zeros, the keep mode's bordered matrix and the drop core
+    # all give the dense r x r Bareiss of B_Y B_Y^T, and every route is taken
     branches = set()
-    real = complexes.bareiss_det
+    real = complexes.gram_det_operand
 
-    def spy(M):
-        assert len(M) <= r  # never larger than the Gram matrix
-        branches.add("gram" if len(M) == r else "bordered")
-        return real(M)
+    def spy(columns, r):
+        sign, M = real(columns, r)
+        assert len(M) <= r  # never larger than the Gram matrix on these face sets
+        branches.add("zero" if M == [[0]] else "drop" if sign is None else "bordered")
+        return sign, M
 
-    monkeypatch.setattr(complexes, "bareiss_det", spy)
+    monkeypatch.setattr(complexes, "gram_det_operand", spy)
 
     @given(_face_lists())
     def prop(case):
-        nonlocal r
         n, Y = case
-        r = math.comb(n - 1, 2)
         assert avoidance_probability_exact(n, Y) == _dense_avoidance(n, Y)
 
-    r = 0
     prop()
-    assert branches == {"gram", "bordered"}
+    assert branches == {"zero", "bordered", "drop"}
 
 
 def test_kalai_weighted_hypertree_count():
@@ -500,18 +498,23 @@ def test_face_set_matches_the_vertex_loop():
     cases = []
     for n in range(3, 21):
         Y = cocycle_triangles(random_cochain(n, nu, rng))
+        shuffled = tuple(Y[i] for i in rng.permutation(len(Y)))
         cases += [(n, Y), (n, list(Y)), (n, [list(rng.permutation(t).tolist()) for t in Y + Y[:2]])]
+        cases += [(n, shuffled), (n, tuple(sorted(Y + Y[:2]))), (n, [list(t) for t in Y])]
         assert complexes.face_set(n, iter(Y)) == _oracle_face_set(n, Y)  # a one-shot iterable
+        assert complexes.face_set(n, Y) is Y  # already the answer: returned as it is
     odd = [
         (2, True, 3), (1, 2.0, 3), (1, 2.5, 3), (np.int64(1), 2, 3), (1, np.int32(2), np.int8(3)),
         (1, "2", 3), (1, 2), (1, 2, 2), (0, 1, 2), (1, 2, 9), np.array([3, 1, 2]), [1, 2, 3, 4], 7,
+        (1, 3, 2), (3, 4, 5), (1, 2, 3), (3, 4, 6),
     ]
     for bad in odd:
         for pos in (0, 1, 3):
-            faces = [(1, 2, 3), (2, 3, 4), (1, 3, 4)]
-            faces.insert(pos, bad)
-            cases.append((5, faces))
-            cases.append((5, tuple(faces)))
+            for base in ([(1, 2, 3), (2, 3, 4), (1, 3, 4)], [(1, 2, 3), (1, 3, 4), (2, 3, 4)]):
+                faces = list(base)
+                faces.insert(pos, bad)
+                cases.append((5, faces))
+                cases.append((5, tuple(faces)))
     cases += [(5, []), (2, [(1, 2, 3)]), (5, [(True, 2, 3), 7])]
     seen = set()
     for n, triangles in cases:

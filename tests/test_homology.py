@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 from cochainlab.cochains import cocycle_triangles, edge_list, random_cochain
-from cochainlab import complexes
+from cochainlab import complexes, homology
 from cochainlab.complexes import (
     TwoComplex,
     all_triangles,
@@ -258,21 +258,30 @@ def _gram(columns, r):
 
 
 def test_gram_det_operand_order_rule():
-    # the bordered matrix has order m + r - 2s and is taken only when that is
-    # below r; with too few +-1 pivots, or m >= 2r, M is B B^T itself
+    # M is the 1 x 1 zero when rank B < r is certain (m < r, a row of B with
+    # no entry, a zero row of C after the keep mode); the keep mode's bordered
+    # matrix when its order m + r - 2s is below r; else the drop mode's core
+    # of [[0, B], [B^T, I_m]], whose |det| is det(B B^T) (sign None)
     r = 3
     cases = [
-        ([{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3 + 3 - 2 * 2, 0),  # rank 2
-        ([{0: 1}, {1: 1}], 2 + 3 - 2 * 2, 0),  # row 2 is zero
-        ([{0: 1}, {1: 1}, {2: 1}, {0: 1, 1: 1}], 4 + 3 - 2 * 3, 3),
-        ([{0: 2}, {1: 2}, {2: 2}], 3, 64),  # no unit pivot: s = 0
-        ([{i: 1} for i in (0, 1, 2, 0, 1, 2)], 3, 8),  # m = 2r: not reduced
-        ([], 3, 0),
+        ([], 1, 1, 0),  # m < r
+        ([{0: 1}, {1: 1}], 1, 1, 0),  # m < r
+        ([{0: 1}, {1: 1}, {0: 1, 1: 1}], 1, 1, 0),  # row 2 has no entry
+        ([{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 1, 1, 0),  # rank 2: C = [0]
+        ([{0: 1}, {1: 1}, {2: 1}, {0: 1, 1: 1}], 1, 4 + 3 - 2 * 3, 3),  # bordered
+        ([{0: 2}, {1: 2}, {2: 2}], None, 3, 64),  # no unit pivot: s = 0, drop core -4 I
+        ([{i: 1} for i in (0, 1, 2, 0, 1, 2)], None, 3, 8),  # m = 2r: no keep mode
     ]
-    for columns, order, det in cases:
-        sign, M = gram_det_operand(columns, r)
-        assert len(M) == order, columns
-        assert sign * bareiss_det(M) == _gram(columns, r) == det, columns
+    for columns, sign, order, det in cases:
+        got, M = gram_det_operand(columns, r)
+        assert (got, len(M)) == (sign, order), columns
+        d = bareiss_det(M)
+        assert (abs(d) if got is None else got * d) == _gram(columns, r) == det, columns
+    # an entry +-2 can leave a drop core larger than r
+    columns = [{3: 1}, {}, {0: -2, 3: 1, 1: 2}, {2: 1}, {3: 2, 2: -1, 0: 2}, {1: -2, 3: 2, 2: -2}]
+    sign, M = gram_det_operand(columns, 4)
+    assert (sign, len(M)) == (None, 5)
+    assert abs(bareiss_det(M)) == _gram(columns, 4) == 592
 
 
 @st.composite
@@ -280,9 +289,12 @@ def _gram_columns(draw):
     """(r, columns): up to 2r + 2 sparse columns with entries in -2..2 over
     row keys 0..r-1, among them empty (all-zero) and repeated columns. Some
     draws lean to +-1 entries, or put a +-1 at row i of the i-th column, so
-    that the reduction finds enough pivots for the bordered matrix to win."""
+    that the keep mode finds enough pivots for its bordered matrix to win;
+    others lean to +-2, so that it finds too few and the drop mode runs."""
     r = draw(st.integers(1, 8))
-    entry = draw(st.sampled_from([st.sampled_from([-1, 1, 1, 2]), st.integers(-2, 2)]))
+    entry = draw(
+        st.sampled_from([st.sampled_from([-1, 1, 1, 2]), st.integers(-2, 2), st.sampled_from([-2, 2, 2, 1])])
+    )
     column = st.dictionaries(st.integers(0, r - 1), entry, max_size=min(r, 3)).map(
         lambda col: {i: v for i, v in col.items() if v}
     )
@@ -298,23 +310,72 @@ def _gram_columns(draw):
     return r, draw(st.permutations(columns))
 
 
-@given(_gram_columns())
-def test_gram_det_operand_property(case):
-    # the keep-mode reduction on columns that no face set gives: the operand
-    # is never larger than B B^T, and its determinant is the Gram determinant
-    r, columns = case
-    before = [dict(col) for col in columns]
+def _gram_route(monkeypatch, columns, r):
+    """(route, sign, M) of gram_det_operand, the route read off the modes
+    of the _eliminate calls it makes and the operand it returns."""
+    modes = []
+    real = _eliminate
+
+    def spy(rows, keep=False):
+        modes.append("keep" if keep else "drop")
+        return real(rows, keep)
+
+    monkeypatch.setattr(homology, "_eliminate", spy)
     sign, M = gram_det_operand(columns, r)
-    assert len(M) <= r
-    assert sign * bareiss_det(M) == _gram(columns, r)
-    assert columns == before  # not modified
+    monkeypatch.undo()
+    if not modes:
+        route = "m < r" if len(columns) < r else "row of B without entry"
+    elif modes == ["keep"]:
+        route = "zero row of C" if M == [[0]] else "keep bordered"
+    else:
+        route = " then ".join(modes) + (", zero" if M == [[0]] else "")
+    return route, sign, M
 
 
-@pytest.mark.parametrize("modulus, order_sum", [(2, 2850), (3, 2170)])
+def test_gram_det_operand_property(monkeypatch):
+    # every route on columns that no face set gives, against the dense
+    # oracle: the certificates give [[0]], the keep mode's bordered matrix
+    # has order below r, and the drop core is square with no +-1 entry left
+    # (its order is not bounded by r: see the order rule)
+    routes = set()
+
+    @given(_gram_columns())
+    @example((3, [{0: 1, 1: -1}, {1: 1, 2: 1}, {0: 1, 2: 1}]))  # rank 2: C = [0]
+    @example((3, [{0: 2}, {1: 2}, {2: 2}]))  # keep then drop: no unit pivot
+    @example((2, [{0: 1, 1: 1} for _ in range(4)]))  # m = 2r, rank 1: the core loses a row
+    def prop(case):
+        r, columns = case
+        before = [dict(col) for col in columns]
+        route, sign, M = _gram_route(monkeypatch, columns, r)
+        routes.add(route)
+        d = bareiss_det(M)
+        assert (abs(d) if sign is None else sign * d) == _gram(columns, r), route
+        if M == [[0]]:
+            assert sign == 1
+        elif route == "keep bordered":
+            assert sign in (1, -1) and len(M) < r
+        else:
+            assert sign is None and all(len(row) == len(M) and 1 not in map(abs, row) for row in M)
+        assert columns == before  # not modified
+
+    prop()
+    assert routes >= {
+        "m < r",
+        "row of B without entry",
+        "zero row of C",
+        "keep bordered",
+        "keep then drop",
+        "drop",
+        "drop, zero",
+    }, routes
+
+
+@pytest.mark.parametrize("modulus, order_sum", [(2, 854), (3, 288)])
 def test_gram_det_operand_orders_on_audit_sets(modulus, order_sum):
-    # a reduction that misses unit pivots stays exact but hands Bareiss a
-    # larger matrix: pin the operand orders over the layer audit's 288
-    # seed-3 face sets at n = 8 (mean order 9.9 over Z/2, where r = 21)
+    # a reduction that misses unit pivots, or a zero it does not certify,
+    # stays exact but hands Bareiss a larger matrix: pin the operand orders
+    # over the layer audit's 288 seed-3 face sets at n = 8, where r = 21 (over
+    # Z/2, 217 zeros of order 1 and a mean order of 9.0 over the other 71)
     group = Group((modulus,))
     cfg = ExperimentConfig(3, group=group)
     nu = SymmetricDistribution.uniform(group)

@@ -153,9 +153,10 @@ def test_cut_norm_entry_points_reject_non_finite_entries(entry, bad):
 
 
 @pytest.mark.parametrize("entry", list(_entry_calls((5,))))
-@pytest.mark.parametrize("shape", [(5,), (2, 3, 4)], ids=["1-D", "3-D"])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3, 4)], ids=["0-D", "1-D", "3-D"])
 def test_cut_norm_entry_points_name_a_bad_shape(entry, shape):
-    # unpacking A.shape would fail with "not enough values to unpack"
+    # unpacking A.shape would fail with "not enough values to unpack", and
+    # reading the size of a 0-D array as shape[0] with an IndexError
     with pytest.raises(ValueError, match=re.escape(f"need a 2-D matrix; got shape {shape}")):
         _entry_calls(shape)[entry]()
 
