@@ -345,8 +345,8 @@ def gram_det_operand(columns, r: int) -> tuple[int | None, list[list[int]]]:
     formed.
 
     M is the 1 x 1 zero matrix as soon as rank B < r is certain: when B has
-    m < r columns, when one of its r rows has no entry, or when the keep
-    mode leaves a zero row of C. The unit-pivot engine in its keep mode,
+    m < r columns, when one of its r rows has no entry, or as soon as the
+    keep mode leaves a zero row of C. The unit-pivot engine in its keep mode,
     _eliminate(rows, keep=True), runs Gauss-Jordan on s +-1 pivots of B's
     rows by row operations only, which are unimodular on the left, and
     brings B to [[I_s, X], [0, C]] up to row signs and a column permutation.
@@ -437,7 +437,9 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
     pivots clear their columns from it. That gives M ~ [[I_s, X], [0, C]] up
     to row signs and a column permutation, returned as {pivot column: its
     row of X} (the pivot row less its pivot entry) and the nonzero rows of
-    C, all over the non-pivot columns.
+    C, all over the non-pivot columns. Keep mode stops at the step that
+    empties a row that is not a pivot row: C then has a zero row whatever
+    the later pivots do, and that zero is all gram_det_operand reads.
     """
     heappop, heappush = heapq.heappop, heapq.heappush
     cols: dict[int, set[int]] = {}
@@ -485,6 +487,7 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
         a = prow.pop(c)
         others = prow.items()
         cleared = len(col) > 1
+        emptied = False  # a row that is not a pivot row lost its last entry
         for i in col:
             if i == r:
                 continue
@@ -505,10 +508,14 @@ def _eliminate(rows: list[dict[int, int]], keep: bool = False):
                 ((j, v),) = row.items()
                 if v in (1, -1):
                     free.append((i, j))
+            elif not row and i not in pivots:
+                emptied = True
         col.clear()
         pivots[r] = c
         if not keep:
             rows[r] = {}
+        elif emptied:
+            break  # C has a zero row, whatever the later pivots do
         elif not cleared:
             continue  # the column was the pivot row's alone: nothing changed
         for j in prow:
