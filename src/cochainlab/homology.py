@@ -345,8 +345,8 @@ def gram_det_operand(columns, r: int) -> tuple[int | None, list[list[int]]]:
     formed.
 
     M is the 1 x 1 zero matrix as soon as rank B < r is certain: when B has
-    m < r columns, when one of its r rows has no entry, or as soon as the
-    keep mode leaves a zero row of C. The unit-pivot engine in its keep mode,
+    m < r columns, when one of its r rows has no entry, or when the keep
+    mode finds a zero row of C. The unit-pivot engine in its keep mode,
     _eliminate(rows, keep=True), runs Gauss-Jordan on s +-1 pivots of B's
     rows by row operations only, which are unimodular on the left, and
     brings B to [[I_s, X], [0, C]] up to row signs and a column permutation.
@@ -392,11 +392,11 @@ def gram_det_operand(columns, r: int) -> tuple[int | None, list[list[int]]]:
     # N's rows: B's rows again (the keep mode consumed ``rows``), column j
     # keyed ~j (negative), then one row per column j of B, its entries at
     # their row keys and the unit of I_m at ~j
-    bordered: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    top: defaultdict[int, dict[int, int]] = defaultdict(dict)
     for j, col in enumerate(columns):
         for i, v in col.items():
-            bordered[i][~j] = v
-    units, core = _eliminate([*bordered.values(), *({**col, ~j: 1} for j, col in enumerate(columns))])
+            top[i][~j] = v
+    units, core = _eliminate([*top.values(), *({**col, ~j: 1} for j, col in enumerate(columns))])
     order = r + m - units
     if len(core) < order or (core and len(core[0]) < order):
         return zero
