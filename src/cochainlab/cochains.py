@@ -16,12 +16,7 @@ import numpy as np
 
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
-from .homology import MAX_BOUNDARY_EDGES, _edge_offset, face_edges
-
-# cocycle_triangles gathers over all C(n,3) triangles, with their edge
-# indices cached per n (24 bytes a triangle), so C(n,3) is bounded as the
-# Linial-Meshulam triangle list is (n <= 185)
-MAX_COCYCLE_TRIANGLES = 1 << 20
+from .homology import MAX_BOUNDARY_EDGES, MAX_SKELETON_TRIANGLES, _edge_offset, _triangle_edges
 
 
 @lru_cache(maxsize=16)
@@ -36,16 +31,6 @@ def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
     iu, ju = np.triu_indices(n, 1)
     iu.flags.writeable = ju.flags.writeable = False
     return iu, ju
-
-
-@lru_cache(maxsize=4)
-def _triangle_edges(n: int) -> np.ndarray:
-    """(3, C(n,3)) edge indices (uv, uw, vw) of every triangle u < v < w,
-    in lexicographic order (homology.face_edges); cached read-only."""
-    faces = itertools.combinations(range(1, n + 1), 3)
-    E = np.array(face_edges(n, faces), dtype=np.intp).reshape(-1, 3).T.copy()
-    E.flags.writeable = False
-    return E
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -144,13 +129,13 @@ def cocycle_triangles(f: Cochain) -> tuple[tuple[int, int, int], ...]:
     """Triangles {u < v < w} whose cyclic label sum vanishes, i.e.
     f(u, v) + f(v, w) = f(u, w), in lexicographic order.
 
-    One gather over every triangle's edges (_triangle_edges): each edge is
-    stored as u < v, so its label is read with no negation."""
+    One gather over every triangle's edges (homology._triangle_edges): each
+    edge is stored as u < v, so its label is read with no negation."""
     n = f.n
     F = math.comb(n, 3)
-    if F > MAX_COCYCLE_TRIANGLES:
+    if F > MAX_SKELETON_TRIANGLES:
         raise ValueError(
-            f"cocycle triangles need C(n,3) <= {MAX_COCYCLE_TRIANGLES} triangles; n = {n} has {F}"
+            f"cocycle triangles need C(n,3) <= {MAX_SKELETON_TRIANGLES} triangles; n = {n} has {F}"
         )
     uv, uw, vw = _triangle_edges(n)
     labels = f.labels

@@ -15,18 +15,20 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .cochains import _triu, edge_list
+from .cochains import _triu
 from .homology import (
     MAX_BOUNDARY_EDGES,
+    MAX_SKELETON_TRIANGLES,
     _bareiss_abs_dets,
     _check_boundary_size,
     _divisors,
     _eliminate,
     _star_face_rows,
+    _triangle_edges,
     bareiss_det,
     boundary_matrices,
     face_edges,
@@ -53,15 +55,9 @@ class TwoComplex:
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def _from_sorted(cls, n: int, triangles) -> TwoComplex:
-        """The samplers' constructor: triangles are sorted triples in range,
-        so the checks are skipped; duplicates still collapse."""
-        return cls._from_face_set(n, tuple(sorted(set(triangles))))
-
-    @classmethod
     def _from_face_set(cls, n: int, faces: tuple) -> TwoComplex:
-        """Wraps faces that are already what face_set would return: a tuple
-        of sorted distinct in-range triples, themselves in sorted order."""
+        """The samplers' constructor, with no checks: faces are already what
+        face_set would return, a sorted tuple of sorted distinct triples."""
         X = object.__new__(cls)
         object.__setattr__(X, "n", int(n))
         object.__setattr__(X, "triangles", faces)
@@ -141,7 +137,6 @@ def face_set(n: int, triangles) -> tuple[tuple[int, int, int], ...]:
     return tuple(faces)
 
 
-@lru_cache(maxsize=16)
 def all_triangles(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(itertools.combinations(range(1, n + 1), 3))
 
@@ -150,23 +145,24 @@ def full_two_skeleton(n: int) -> TwoComplex:
     return TwoComplex(n, all_triangles(n))
 
 
+def _edge_face_counts(n: int, triangles) -> np.ndarray:
+    """t_Y(e), the number of faces of the face set Y (face_set) containing
+    edge e, for every edge of K_n in lexicographic order."""
+    edges = np.array(face_edges(n, face_set(n, triangles)), dtype=np.intp)
+    return np.bincount(edges.ravel(), minlength=n * (n - 1) // 2)
+
+
 def triangle_edge_counts(n: int, triangles) -> np.ndarray:
     """t[u-1, w-1] = number of faces of the face set (face_set) containing
     edge {u, w}; symmetric with zero diagonal."""
+    iu, ju = _triu(n)
     t = np.zeros((n, n), dtype=np.int64)
-    for a, b, c in face_set(n, triangles):
-        for u, w in ((a, b), (a, c), (b, c)):
-            t[u - 1, w - 1] += 1
-            t[w - 1, u - 1] += 1
+    t[iu, ju] = t[ju, iu] = _edge_face_counts(n, triangles)
     return t
 
 
 # ---------------------------------------------------------------------------
 # samplers
-
-# Bernoulli faces are drawn over the full triangle list, so it is bounded
-# (n <= 185) before that list is built.
-MAX_LM_TRIANGLES = 1 << 20
 
 # A draw holds a C(n-1,2) x C(n,2) float array, 11.5 MB and about 0.5 s at
 # n = 50; the Smith normal form of a hypertree takes 0.02 s there, 70 s at n = 60.
@@ -189,9 +185,9 @@ def check_lm_n(n: int, c: float) -> None:
     if n < 3:
         raise ValueError("need n >= 3")
     F = math.comb(n, 3)
-    if F > MAX_LM_TRIANGLES:
+    if F > MAX_SKELETON_TRIANGLES:
         raise ValueError(
-            f"Linial-Meshulam sampler needs C(n,3) <= {MAX_LM_TRIANGLES} triangles;"
+            f"Linial-Meshulam sampler needs C(n,3) <= {MAX_SKELETON_TRIANGLES} triangles;"
             f" n = {n} has {F}"
         )
     if not 0 <= c / n <= 1:
@@ -237,27 +233,16 @@ def sample_one_out(n: int, rng: np.random.Generator) -> TwoComplex:
 
 
 def sample_linial_meshulam(n: int, c: float, rng: np.random.Generator) -> TwoComplex:
-    """Bernoulli(c/n) faces, independently over all triangles."""
+    """Bernoulli(c/n) faces, independently over all triangles: one draw per
+    triangle in lexicographic order, selected from the stream, no list held."""
     check_lm_n(n, c)
-    tris = all_triangles(n)
-    keep = rng.random(len(tris)) < c / n
-    return TwoComplex._from_sorted(n, [t for t, k in zip(tris, keep) if k])
+    keep = rng.random(math.comb(n, 3)) < c / n
+    faces = itertools.compress(itertools.combinations(range(1, n + 1), 3), keep)
+    return TwoComplex._from_face_set(n, tuple(faces))
 
 
 # ---------------------------------------------------------------------------
 # the projection kernel and exact determinantal sampling
-
-@lru_cache(maxsize=8)
-def _reduced_boundary(n: int) -> np.ndarray:
-    """Rows of d2 indexed by edges inside [n-1]; these span the full row
-    space: a 1-cycle supported on the star of vertex n would live on a tree.
-    Shape (C(n-1,2), C(n,3)), int64, one column per all_triangles(n) entry;
-    cached read-only."""
-    keep = [i for i, (u, v) in enumerate(edge_list(n)) if v <= n - 1]
-    B = boundary_matrices(full_two_skeleton(n))[keep, :]
-    B.flags.writeable = False
-    return B
-
 
 class ProjectionKernel:
     """Orthogonal projection onto the row space of the full-skeleton triangle
@@ -265,15 +250,16 @@ class ProjectionKernel:
     measure.
 
     On the complete complex d2 d2^T + d1^T d1 = n I and d1 d2 = 0, so
-    K = d2^T d2 / n exactly. K is held as n and the F x 3 face_edges array
-    ``edges``, where d2 has +1, -1, +1; rank = trace K = C(n-1,2).
+    K = d2^T d2 / n exactly. K is held as n and ``edges``, the F x 3 read-only
+    view of the cached incidence homology._triangle_edges (face_edges of every
+    face), where d2 has +1, -1, +1; rank = trace K = C(n-1,2).
     """
 
     def __init__(self, n: int):
         self.n = n
         self.triangles = all_triangles(n)
         self.rank = math.comb(n - 1, 2)
-        self.edges = np.array(face_edges(n, self.triangles), dtype=np.intp)
+        self.edges = _triangle_edges(n).T
 
 
 def build_kernel(n: int) -> ProjectionKernel:
@@ -302,7 +288,6 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
     n, F = kern.n, len(kern.triangles)
-    edges_by_slot = np.ascontiguousarray(kern.edges.T)  # (3, F): rows a, b, c
     d = np.full(F, 3 / n)
     w = np.empty(F)
     cs = np.empty(F)
@@ -328,7 +313,7 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         v = U[t]
         v[a], v[b], v[c] = v[a] - 1 / n, v[b] + 1 / n, v[c] - 1 / n
         v /= math.sqrt(d[i])
-        v.take(edges_by_slot, out=g)
+        v.take(kern.edges.T, out=g)  # rows a, b, c of the (3, F) incidence
         x -= g[1]
         x += g[2]
         x *= x
@@ -337,7 +322,7 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     tris = [kern.triangles[i] for i in chosen]
     if len(set(tris)) != kern.rank:
         raise ArithmeticError("determinantal sample produced a repeated face")
-    return TwoComplex._from_sorted(kern.n, tris)
+    return TwoComplex._from_face_set(kern.n, tuple(sorted(tris)))
 
 
 def exact_kernel(n: int):
@@ -394,10 +379,8 @@ def log_containment_upper_bound(n: int, Y) -> float:
     """(n-2) log n + (1 - 2/n) sum over edges of log(t_Y(edge)/n); equals
     -inf when some edge lies in no triangle of Y. Upper-bounds the exact
     log avoidance probability."""
-    t = triangle_edge_counts(n, Y)
     total = 0.0
-    for u, v in edge_list(n):
-        cnt = t[u - 1, v - 1]
+    for cnt in _edge_face_counts(n, Y).tolist():
         if cnt == 0:
             return -math.inf
         total += math.log(cnt / n)
@@ -407,10 +390,9 @@ def log_containment_upper_bound(n: int, Y) -> float:
 def one_out_containment_probability(n: int, Y) -> Fraction:
     """P(every face of the one-per-edge complex lands in Y): the per-edge
     choices are independent, giving prod over edges of t_Y(edge)/(n-2)."""
-    t = triangle_edge_counts(n, Y)
     p = Fraction(1)
-    for u, v in edge_list(n):
-        p *= Fraction(int(t[u - 1, v - 1]), n - 2)
+    for cnt in _edge_face_counts(n, Y).tolist():
+        p *= Fraction(cnt, n - 2)
     return p
 
 
@@ -423,15 +405,18 @@ def enumerate_hypertrees(n: int):
 
     Candidates are the r-subsets S of the C(n,3) faces, r = C(n-1,2), in
     lexicographic order. B_S^T, the faces of S against the edges inside
-    [n-1] in _reduced_boundary, is S's star-reduced face rows
-    (homology._star_face_rows), which keep the Smith normal form of d2. So S
+    [n-1] (scattered from homology._triangle_edges), is S's star-reduced
+    face rows (homology._star_face_rows), which keep the SNF of d2. So S
     is a hypertree iff det B_S != 0, and then |H_1| is the product of r
     elementary divisors, |det B_S|. The determinants of 8192 candidates at a
     time come from one batched int64 Bareiss (homology._bareiss_abs_dets).
     """
     if n < 3 or n > 6:
         raise ValueError("enumeration supported for 3 <= n <= 6 only")
-    face_rows = _reduced_boundary(n).T  # B_S^T = face_rows[S]
+    E = _triangle_edges(n)
+    face_rows = np.zeros((E.shape[1], n * (n - 1) // 2), dtype=np.int64)
+    face_rows[np.arange(E.shape[1]), E] = [[1], [-1], [1]]
+    face_rows = face_rows[:, _triu(n)[1] < n - 1]  # B_S^T = face_rows[S]
     r = math.comb(n - 1, 2)
     tris = all_triangles(n)
     candidates = itertools.combinations(range(len(tris)), r)

@@ -31,10 +31,12 @@ checks, for the hypertree census.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +116,22 @@ def face_edges(n: int, triangles) -> list[tuple[int, int, int]]:
     _check_edges(n)
     off = [_edge_offset(n, a) for a in range(n + 1)]
     return [(off[u] + v, off[u] + w, off[v] + w) for u, v, w in triangles]
+
+
+# An array over all C(n,3) triangles (the full skeleton's incidence below, or
+# the Linial-Meshulam draw) is bounded before it is built: n <= 185.
+MAX_SKELETON_TRIANGLES = 1 << 20
+
+
+@lru_cache(maxsize=4)
+def _triangle_edges(n: int) -> np.ndarray:
+    """The full 2-skeleton's face-edge incidence: (3, C(n,3)) edge indices
+    (uv, uw, vw) of every triangle u < v < w, in lexicographic order
+    (face_edges); cached read-only, the one copy of the full skeleton."""
+    faces = itertools.combinations(range(1, n + 1), 3)
+    E = np.array(face_edges(n, faces), dtype=np.intp).reshape(-1, 3).T.copy()
+    E.flags.writeable = False
+    return E
 
 
 def boundary_matrices(X) -> np.ndarray:

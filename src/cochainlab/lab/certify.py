@@ -139,7 +139,7 @@ def _check_kernel(checks: list, trees5) -> None:
         )
     )
 
-    corrupted = build_kernel(5).edges
+    corrupted = build_kernel(5).edges.copy()  # the kernel's edges are read-only
     corrupted[0, [0, 1]] = corrupted[0, [1, 0]]  # flips face 0's signs at uv and uw
     bad2 = mismatches(corrupted)
     checks.append(

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..groups import Group
+from ..homology import _check_prime
 
 MODELS = ("hypertree", "one-out", "lm")
 
@@ -40,6 +41,11 @@ class ExperimentConfig:
             raise ValueError(f"layers must be <= MAX_LAYERS = {MAX_LAYERS}; got {self.layers}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
+        # before any draw: a repeated prime would print its rows twice
+        for i, p in enumerate(self.primes):
+            _check_prime(p)
+            if p in self.primes[:i]:
+                raise ValueError(f"primes must be distinct; {p} is repeated")
 
     def replica_rng(self, *tags):
         """Independent stream per (experiment tag..., replica); merge order

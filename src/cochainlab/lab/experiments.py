@@ -44,9 +44,9 @@ from .output import Table
 NORMAL_MEDIAN_SE = 1.2533141373155003  # sqrt(pi/2), large-sample median factor
 
 # largest n whose layer audit computes the exact containment probability; an
-# exact probability is one Bareiss determinant after a sparse elimination,
-# about 25 ms a sample at n = 16 on a 2-core x86 host (0.09-0.12 s when it
-# took the r x r Gram matrix, r = C(n-1,2))
+# exact probability is one Bareiss determinant after a sparse elimination; at
+# n = 16 a sample takes about 23 ms over Z/2 and 40 ms over Z/3 (layer-audit
+# --n 16 --samples 50 --seed 3, median of 9 runs, 2-core x86 host)
 AUDIT_MAX_N = 16
 
 # the containment bound minus the exact log-probability is >= 0; the bound is

@@ -381,6 +381,35 @@ def test_trend_checks_every_n_before_sampling(command, model, ns, bound, monkeyp
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "6", "--primes", "2,2"], "error: primes must be distinct; 2 is repeated\n"),
+        (["--n", "6", "--primes", "3,2,3"], "error: primes must be distinct; 3 is repeated\n"),
+        (["--model", "hypertree", "--n", "40", "--primes", "4"], "error: 4 is not prime\n"),
+        (["--model", "lm", "--n", "8", "--primes", "2,9"], "error: 9 is not prime\n"),
+    ],
+    ids=["repeat", "later-repeat", "hypertree-non-prime", "lm-non-prime"],
+)
+def test_betti_trend_checks_the_primes_before_sampling(argv, message, monkeypatch, capsys):
+    # a repeated prime printed its row twice over doubled data, and a
+    # non-prime was found only by the first rank, after the first draw
+    import cochainlab.lab.experiments as experiments
+
+    calls = []
+    for name in ("build_kernel", "sample_hypertree", "sample_one_out", "sample_linial_meshulam"):
+        def spy(*args, _real=getattr(experiments, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, spy)
+    assert run(["betti-trend", *argv, "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+    assert calls == []
+
+
 @pytest.mark.parametrize("vertex", [3.7, 3.0, True, "3", None])
 def test_homology_rejects_non_integer_vertex(tmp_path, capsys, vertex):
     path = tmp_path / "x.json"

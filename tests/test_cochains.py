@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cochainlab.cochains import (
-    MAX_COCYCLE_TRIANGLES,
     Cochain,
     cocycle_triangles,
     edge_index,
@@ -18,6 +17,7 @@ from cochainlab.cochains import (
     triangle_support_counts,
 )
 from cochainlab.groups import Group, SymmetricDistribution
+from cochainlab.homology import MAX_SKELETON_TRIANGLES
 
 
 def _uniform(moduli):
@@ -276,7 +276,7 @@ def test_array_passes_match_the_loops():
 
 def test_cocycle_triangles_bound():
     n = 186  # the first n with C(n,3) above the bound
-    assert math.comb(n - 1, 3) <= MAX_COCYCLE_TRIANGLES < math.comb(n, 3)
+    assert math.comb(n - 1, 3) <= MAX_SKELETON_TRIANGLES < math.comb(n, 3)
     f = Cochain(Group((2,)), n, np.zeros(n * (n - 1) // 2, dtype=np.intp))
     with pytest.raises(ValueError, match=r"C\(n,3\) <= 1048576 triangles; n = 186 has 1055240"):
         cocycle_triangles(f)

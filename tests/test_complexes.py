@@ -11,7 +11,6 @@ from cochainlab import complexes
 from cochainlab.cochains import Cochain, cocycle_triangles, edge_index, edge_list, random_cochain
 from cochainlab.complexes import (
     TwoComplex,
-    _reduced_boundary,
     all_triangles,
     avoidance_probability_exact,
     build_kernel,
@@ -34,6 +33,7 @@ from cochainlab.homology import (
     bareiss_det,
     boundary_matrices,
     count_cocycles,
+    face_edges,
     smith_normal_form,
 )
 from cochainlab.lab.config import ExperimentConfig
@@ -176,6 +176,55 @@ def test_one_out_matches_the_scalar_loop():
             assert fast.integers(0, 7) == slow.integers(0, 7), (n, seed)
 
 
+# (n, c, seed): (faces, sha256 of repr(X.triangles), the PCG64 state after
+# the draw) of sample_linial_meshulam(n, c, default_rng([seed, n])); recorded
+# from the sampler that zipped a cached triangle list with the draw
+_LM_PINS = {
+    (10, 2, 0): (
+        31,
+        "14ee42b08f26519d647a86a16b138fe4e7f7b8f11f1a8fec75d60a14770110fd",
+        28245682141144008701681851456749966917,
+    ),
+    (10, 2, 1): (
+        23,
+        "4ea5a4c1f7ab295e9f75e3f65332898f709ff2440d8f446a5c8fbe7cf120614a",
+        97890024377406149036686164856354946941,
+    ),
+    (60, 2, 0): (
+        1149,
+        "24516c397e67fb1910b3aa956dd9b11458417e866a119f74a562faa10a313caa",
+        189673662341552645835951748283059848279,
+    ),
+    (60, 2, 1): (
+        1140,
+        "0054544d04098dbd83844913a54351ca9dd1471eb8a10498d143e96f5a1b15ec",
+        122815173780134852364890449304362152409,
+    ),
+    (185, 0.1, 0): (
+        557,
+        "d516e4c9af161840c279d9c674468049e16c1dd10a87c28657f74e10f79c1a84",
+        79589284329255077349192119816017715598,
+    ),
+    (185, 0.1, 1): (
+        579,
+        "fb74d612d2b80f0fcc5b39298b1cd7edfa3df829f697205e969498a8410bad5c",
+        71828160146353118043038145485577644362,
+    ),
+}
+
+
+@pytest.mark.parametrize("n, c, seed", sorted(_LM_PINS))
+def test_linial_meshulam_draws_are_pinned(n, c, seed):
+    rng = np.random.default_rng([seed, n])
+    X = sample_linial_meshulam(n, c, rng)
+    faces, digest, state = _LM_PINS[n, c, seed]
+    assert X.num_faces == faces
+    assert hashlib.sha256(repr(X.triangles).encode()).hexdigest() == digest
+    assert all(type(v) is int for t in X.triangles for v in t)
+    st = rng.bit_generator.state
+    assert (st["state"]["state"], st["has_uint32"], st["uinteger"]) == (state, 0, 0)
+
+
 def test_linial_meshulam_extremes():
     rng = np.random.default_rng(13)
     assert sample_linial_meshulam(6, 0.0, rng).num_faces == 0
@@ -246,6 +295,11 @@ def test_kernel_edges_scatter_to_the_boundary():
         # and the edges are those of the cochains' edge order, face by face
         want = [[edge_index(n, u, v), edge_index(n, u, w), edge_index(n, v, w)] for u, v, w in kern.triangles]
         assert kern.edges.tolist() == want, n
+        # one read-only incidence per n, the one face_edges gives
+        assert kern.edges.tolist() == [list(e) for e in face_edges(n, all_triangles(n))], n
+        assert not kern.edges.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kern.edges[0, 0] = 0
 
 
 def test_kernel_minors_match_adjugate_kernel():
@@ -290,6 +344,13 @@ def _fraction_inverse(A):
                 f = aug[i][c]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
     return [row[r:] for row in aug]
+
+
+def _reduced_boundary(n):
+    """Oracle: the rows of the dense d2 of the full skeleton on the edges
+    inside [n-1], shape (C(n-1,2), C(n,3))."""
+    d2 = boundary_matrices(full_two_skeleton(n))
+    return d2[[i for i, (u, v) in enumerate(edge_list(n)) if v < n]]
 
 
 def _adjugate_kernel(n):
@@ -414,6 +475,49 @@ def test_avoidance_matches_dense_gram_oracle(monkeypatch):
 
     prop()
     assert branches == {"zero", "bordered", "drop"}
+
+
+def _edge_counts_loop(n, Y):
+    """Oracle of triangle_edge_counts: six scalar writes a face."""
+    t = np.zeros((n, n), dtype=np.int64)
+    for a, b, c in complexes.face_set(n, Y):
+        for u, w in ((a, b), (a, c), (b, c)):
+            t[u - 1, w - 1] += 1
+            t[w - 1, u - 1] += 1
+    return t
+
+
+def _containment_bound_loop(n, Y) -> float:
+    """Oracle of log_containment_upper_bound: the float sum over edge_list."""
+    t = _edge_counts_loop(n, Y)
+    total = 0.0
+    for u, v in edge_list(n):
+        cnt = t[u - 1, v - 1]
+        if cnt == 0:
+            return -math.inf
+        total += math.log(cnt / n)
+    return (n - 2) * math.log(n) + (1 - 2 / n) * total
+
+
+def _one_out_containment_loop(n, Y) -> Fraction:
+    """Oracle of one_out_containment_probability: the product over edge_list."""
+    t = _edge_counts_loop(n, Y)
+    p = Fraction(1)
+    for u, v in edge_list(n):
+        p *= Fraction(int(t[u - 1, v - 1]), n - 2)
+    return p
+
+
+@given(_face_lists())
+def test_edge_face_counts_match_the_loops(case):
+    # the per-edge counts, the containment bound's float sum (the same sum in
+    # the same order, so equal, not close) and the one-out product
+    n, Y = case
+    t = triangle_edge_counts(n, Y)
+    assert t.dtype == np.int64 and t.shape == (n, n)
+    assert (t == _edge_counts_loop(n, Y)).all()
+    assert log_containment_upper_bound(n, Y) == _containment_bound_loop(n, Y)
+    assert one_out_containment_probability(n, Y) == _one_out_containment_loop(n, Y)
 
 
 def test_kalai_weighted_hypertree_count():
@@ -749,6 +853,7 @@ def test_sample_hypertree_drift_guard():
     for n in (5, 6, 8):
         for seed in range(20):
             kern = build_kernel(n)
+            kern.edges = kern.edges.copy()  # the shared incidence is read-only
             kern.edges[0] = kern.edges[1]
             with pytest.raises(ArithmeticError, match=r"conditioned trace \S+ drifted from remaining rank \d+"):
                 sample_hypertree(kern, np.random.default_rng(seed))
