@@ -278,10 +278,12 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     (R^T v)^2. Returns exactly rank faces; drift in d is the first
     certificate-visible failure of the chain.
 
-    Each step runs through buffers allocated once per draw. A chosen face's
-    d is set to -inf after its own update, so max(d, 0) gives it weight 0
-    and the null-face guard still rejects it if the end-of-array clamp lands
-    there. The weights' total is add.reduce (the pairwise sum of w.sum())
+    The weights run through buffers allocated once per draw. v at every
+    face's edges is one gather by indexing with the read-only incidence
+    (ndarray.take would copy a read-only index on every call). A chosen
+    face's d is set to -inf after its own update, so max(d, 0) gives it
+    weight 0 and the null-face guard still rejects it if the end-of-array
+    clamp lands there. The weights' total is add.reduce (the pairwise sum of w.sum())
     and the sampling scan add.accumulate (the sequential sum of cumsum), and
     the squared gap (v_a - v_b) + v_c is formed in the same order, so a seed
     draws bitwise the same faces as clip, sum and cumsum temporaries would.
@@ -291,8 +293,6 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     d = np.full(F, 3 / n)
     w = np.empty(F)
     cs = np.empty(F)
-    g = np.empty((3, F))
-    x = g[0]  # (v_a - v_b) + v_c overwrites the gathered v_a
     U = np.empty((kern.rank, n * (n - 1) // 2))
     chosen: list[int] = []
     for t, step in enumerate(range(kern.rank, 0, -1)):
@@ -313,9 +313,9 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
         v = U[t]
         v[a], v[b], v[c] = v[a] - 1 / n, v[b] + 1 / n, v[c] - 1 / n
         v /= math.sqrt(d[i])
-        v.take(kern.edges.T, out=g)  # rows a, b, c of the (3, F) incidence
-        x -= g[1]
-        x += g[2]
+        x, y, z = v[kern.edges.T]  # v_a, v_b, v_c of every face
+        x -= y
+        x += z
         x *= x
         d -= x
         d[i] = -np.inf
