@@ -283,10 +283,11 @@ def sample_hypertree(kernel_or_n, rng: np.random.Generator) -> TwoComplex:
     (ndarray.take would copy a read-only index on every call). A chosen
     face's d is set to -inf after its own update, so max(d, 0) gives it
     weight 0 and the null-face guard still rejects it if the end-of-array
-    clamp lands there. The weights' total is add.reduce (the pairwise sum of w.sum())
-    and the sampling scan add.accumulate (the sequential sum of cumsum), and
-    the squared gap (v_a - v_b) + v_c is formed in the same order, so a seed
-    draws bitwise the same faces as clip, sum and cumsum temporaries would.
+    clamp lands there. The weights' total is add.reduce (the pairwise sum of
+    w.sum()) and the sampling scan add.accumulate (the sequential sum of
+    cumsum), and the squared gap (v_a - v_b) + v_c is formed in the same
+    order, so a seed draws bitwise the same faces as clip, sum and cumsum
+    temporaries would.
     """
     kern = kernel_or_n if isinstance(kernel_or_n, ProjectionKernel) else build_kernel(kernel_or_n)
     n, F = kern.n, len(kern.triangles)
