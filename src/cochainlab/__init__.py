@@ -6,12 +6,9 @@ __version__ = "0.1.0"
 from .cochains import (
     Cochain,
     cocycle_triangles,
-    edge_index,
-    edge_list,
     embed_graphon,
     path_counts,
     random_cochain,
-    triangle_support_counts,
 )
 from .complexes import (
     ProjectionKernel,
@@ -62,6 +59,8 @@ from .homology import (
     count_cocycles,
     dim_h1_mod_p,
     dim_z1_mod_p,
+    edge_index,
+    edge_list,
     homology_report,
     min_generators_h1,
     rank_mod_p,

@@ -16,12 +16,6 @@ import sys
 
 import numpy as np
 
-from .complexes import (
-    TwoComplex,
-    sample_hypertree,
-    sample_linial_meshulam,
-    sample_one_out,
-)
 from .graphons import (
     CutNormTooLarge,
     b_functional,
@@ -42,6 +36,7 @@ from .lab import (
     run_ez1_trend,
     run_layer_audit,
     run_ldp_numerics,
+    sampler,
 )
 from .lab.experiments import AUDIT_SLACK_TOL
 from .regularity import fk_decompose
@@ -81,6 +76,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
             values = [int(x) for x in text.split(",")]
     except (ValueError, IndexError):
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"integer list {text!r} is empty")
     if values[MAX_INT_LIST:]:  # a lazy slice: len() overflows past 2^63 values
         raise argparse.ArgumentTypeError(
             f"integer list {text!r} has more than {MAX_INT_LIST} values"
@@ -136,7 +133,6 @@ def cmd_ez1(args) -> int:
 def cmd_layer_audit(args) -> int:
     cfg = ExperimentConfig(
         seed=args.seed,
-        model="one-out",
         n_values=(args.n,),
         group=args.group,
         samples=args.samples,
@@ -172,7 +168,6 @@ def cmd_ldp(args) -> int:
         seed=args.seed,
         group=args.group,
         samples=args.samples,
-        n_values=(4,),
     )
     _emit(run_ldp_numerics(cfg).render(args.format), args.out)
     return 0
@@ -194,12 +189,7 @@ def cmd_betti(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = np.random.default_rng([args.seed & 0x7FFFFFFF, 1])
-    if args.model == "one-out":
-        X = sample_one_out(args.n, rng)
-    elif args.model == "lm":
-        X = sample_linial_meshulam(args.n, args.c, rng)
-    else:
-        X = sample_hypertree(args.n, rng)
+    X = sampler(args.model, args.n, args.c)(rng)
     if args.format == "json":
         _emit(dumps_json(complex_to_json_dict(X)), args.out)
     else:

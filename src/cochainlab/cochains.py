@@ -2,44 +2,18 @@
 
 A cochain assigns a group element f(u, v) to each ordered pair of distinct
 vertices with f(v, u) = -f(u, v). Vertices are 1-based. Storage is one label
-index per unordered edge in lexicographic order; the accessor negates for
-reversed pairs.
+index per unordered edge in lexicographic order (homology.edge_list); the
+accessor negates for reversed pairs.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
-from .homology import MAX_BOUNDARY_EDGES, MAX_SKELETON_TRIANGLES, _edge_offset, _triangle_edges
-
-
-@lru_cache(maxsize=16)
-def edge_list(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple(itertools.combinations(range(1, n + 1), 2))
-
-
-@lru_cache(maxsize=16)
-def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based endpoints (u < v) of every edge, in edge_list order: the
-    row-major upper triangle. Cached read-only, 16 bytes per edge."""
-    iu, ju = np.triu_indices(n, 1)
-    iu.flags.writeable = ju.flags.writeable = False
-    return iu, ju
-
-
-def edge_index(n: int, u: int, v: int) -> int:
-    """The position of edge {u, v} in edge_list(n), for either order."""
-    if not (1 <= u <= n and 1 <= v <= n and u != v):
-        raise ValueError(f"({u}, {v}) is not an edge of K_{n}: need distinct vertices in 1..{n}")
-    if u > v:
-        u, v = v, u
-    return _edge_offset(n, u) + v
+from .homology import MAX_BOUNDARY_EDGES, _triangle_edges, _triu, edge_index
 
 
 class Cochain:
@@ -132,32 +106,12 @@ def cocycle_triangles(f: Cochain) -> tuple[tuple[int, int, int], ...]:
     One gather over every triangle's edges (homology._triangle_edges): each
     edge is stored as u < v, so its label is read with no negation."""
     n = f.n
-    F = math.comb(n, 3)
-    if F > MAX_SKELETON_TRIANGLES:
-        raise ValueError(
-            f"cocycle triangles need C(n,3) <= {MAX_SKELETON_TRIANGLES} triangles; n = {n} has {F}"
-        )
     uv, uw, vw = _triangle_edges(n)
     labels = f.labels
     hit = f.group.add_table[labels[uv], labels[vw]] == labels[uw]
     iu, ju = _triu(n)
     first, last = uv[hit], uw[hit]
     return tuple(zip((iu[first] + 1).tolist(), (ju[first] + 1).tolist(), (ju[last] + 1).tolist()))
-
-
-def triangle_support_counts(f: Cochain) -> np.ndarray:
-    """t[u-1, w-1] = number of zero-sum triangles through edge {u, w}.
-
-    Identity: equals path_counts at the edge's own label."""
-    M = f.label_matrix()
-    pc = path_counts(f)
-    n = f.n
-    t = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for w in range(n):
-            if u != w:
-                t[u, w] = pc[u, w, M[u, w]]
-    return t
 
 
 def embed_graphon(f: Cochain, exact: bool = False) -> StepKernel:

@@ -5,8 +5,8 @@ probabilities, and small-n exhaustive enumeration.
 
 Exact probabilities take one determinant path, Cauchy-Binet over the integer
 boundary d2 by Bareiss. enumerate_hypertrees takes every candidate's torsion
-from a batched int64 Bareiss of its reduced-boundary square; nothing here
-factorises in floats.
+from a batched int64 Bareiss of its square of star-reduced face rows; nothing
+here factorises in floats.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .cochains import _triu
 from .homology import (
     MAX_BOUNDARY_EDGES,
     MAX_SKELETON_TRIANGLES,
@@ -29,6 +28,7 @@ from .homology import (
     _eliminate,
     _star_face_rows,
     _triangle_edges,
+    _triu,
     bareiss_det,
     boundary_matrices,
     face_edges,

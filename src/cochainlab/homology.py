@@ -1,5 +1,7 @@
 """Exact homological linear algebra: GF(p) ranks, Smith normal form over Z,
-cocycle counts for arbitrary finite abelian coefficients.
+cocycle counts for arbitrary finite abelian coefficients; and K_n's skeleton
+indexing, which every module reads from here: the lexicographic edge order
+(_triu, edge_list, edge_index), face_edges and the full skeleton's incidence.
 
 Everything here is exact. Matrices are held as sparse rows of Python ints;
 the homology of a complex reads its face list directly, one row of d2^T per
@@ -108,6 +110,32 @@ def _edge_offset(n: int, a: int) -> int:
     return (a - 1) * (2 * n - a) // 2 - a - 1
 
 
+@lru_cache(maxsize=16)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based endpoints (u < v) of every edge of K_n, in lexicographic
+    order: the row-major upper triangle. Cached read-only, 16 bytes per edge;
+    the one cached copy of the edge list."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+def edge_list(n: int) -> tuple[tuple[int, int], ...]:
+    """The edges (u, v), u < v, of K_n on vertices 1..n in lexicographic
+    order, read from _triu."""
+    iu, ju = _triu(n)
+    return tuple(zip((iu + 1).tolist(), (ju + 1).tolist()))
+
+
+def edge_index(n: int, u: int, v: int) -> int:
+    """The position of edge {u, v} in edge_list(n), for either order."""
+    if not (1 <= u <= n and 1 <= v <= n and u != v):
+        raise ValueError(f"({u}, {v}) is not an edge of K_{n}: need distinct vertices in 1..{n}")
+    if u > v:
+        u, v = v, u
+    return _edge_offset(n, u) + v
+
+
 def face_edges(n: int, triangles) -> list[tuple[int, int, int]]:
     """The lexicographic edge indices (uv, uw, vw) of each face (u < v < w):
     its column of d2 has +1, -1, +1 there, and they increase in that order.
@@ -127,7 +155,13 @@ MAX_SKELETON_TRIANGLES = 1 << 20
 def _triangle_edges(n: int) -> np.ndarray:
     """The full 2-skeleton's face-edge incidence: (3, C(n,3)) edge indices
     (uv, uw, vw) of every triangle u < v < w, in lexicographic order
-    (face_edges); cached read-only, the one copy of the full skeleton."""
+    (face_edges); cached read-only, the one copy of the full skeleton.
+    C(n,3) is bounded before anything is built."""
+    F = math.comb(n, 3)
+    if F > MAX_SKELETON_TRIANGLES:
+        raise ValueError(
+            f"the full 2-skeleton needs C(n,3) <= {MAX_SKELETON_TRIANGLES} triangles; n = {n} has {F}"
+        )
     faces = itertools.combinations(range(1, n + 1), 3)
     E = np.array(face_edges(n, faces), dtype=np.intp).reshape(-1, 3).T.copy()
     E.flags.writeable = False

@@ -7,6 +7,7 @@ from .experiments import (
     run_ez1_trend,
     run_layer_audit,
     run_ldp_numerics,
+    sampler,
     weakly_decreasing_violations,
 )
 from .output import Table
@@ -23,5 +24,6 @@ __all__ = [
     "run_ez1_trend",
     "run_layer_audit",
     "run_ldp_numerics",
+    "sampler",
     "weakly_decreasing_violations",
 ]

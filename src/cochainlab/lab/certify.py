@@ -19,10 +19,10 @@ import numpy as np
 
 from ..cochains import (
     Cochain,
+    cocycle_triangles,
     embed_graphon,
     path_counts,
     random_cochain,
-    triangle_support_counts,
 )
 from ..complexes import (
     TwoComplex,
@@ -31,6 +31,7 @@ from ..complexes import (
     build_kernel,
     enumerate_hypertrees,
     sample_hypertree,
+    triangle_edge_counts,
 )
 from ..graphons import b_functional, b_log_terms, convolve
 from ..groups import Group, SymmetricDistribution
@@ -245,8 +246,10 @@ def _check_convolution(checks: list, seed: int, reps: int) -> None:
 
 
 def _check_triangle_log_identity(checks: list, seed: int, reps: int) -> None:
-    """Sum over edges of log(t/n) against (n^2/2) times the b log-terms,
-    compared as exact multisets so simultaneous -infinity cases still match."""
+    """Sum over edges of log(t/n), t the cocycle triangles through the edge,
+    against (n^2/2) times the b log-terms, compared as exact multisets so
+    simultaneous -infinity cases still match. t is counted from the
+    triangles, apart from the exact convolution behind the b log-terms."""
     bad = ""
     for rep in range(reps):
         rng = np.random.default_rng([seed & 0x7FFFFFFF, 19, rep])
@@ -254,7 +257,8 @@ def _check_triangle_log_identity(checks: list, seed: int, reps: int) -> None:
         n = 3 + int(rng.integers(8))
         nu = SymmetricDistribution.uniform(group)
         f = random_cochain(n, nu, rng)
-        counts, mult = np.unique(triangle_support_counts(f)[np.triu_indices(n, 1)], return_counts=True)
+        t = triangle_edge_counts(n, cocycle_triangles(f))
+        counts, mult = np.unique(t[np.triu_indices(n, 1)], return_counts=True)
         lhs = {Fraction(int(c), n): int(m) for c, m in zip(counts, mult)}
         terms = b_log_terms(embed_graphon(f, exact=True))
         if {arg: coeff * n * n / 2 for arg, coeff in terms.items()} != lhs:

@@ -31,6 +31,10 @@ class ExperimentConfig:
             raise ValueError("a seed is mandatory for reproducibility")
         self.seed = int(self.seed)
         self.n_values = tuple(int(n) for n in self.n_values)
+        if not self.n_values:
+            raise ValueError("n_values must not be empty")
+        if not self.primes:
+            raise ValueError("primes must not be empty")
         if any(n < 3 for n in self.n_values):
             raise ValueError("all n must be >= 3")
         if self.samples < 1:

@@ -57,7 +57,7 @@ AUDIT_SLACK_TOL = 1e-9
 # largest n^2 * |G| a layer audit accepts: embed_graphon's kernel and each
 # array b_functional builds hold that many floats. It admits --n 1024 over
 # Z/2, 16 MB per array and about 200 MB at peak, with the cached index
-# arrays of the sample path: 8 MB of edge endpoints (cochains._triu) and
+# arrays of the sample path: 8 MB of edge endpoints (homology._triu) and
 # 16 MB of mirror sources (graphons._mirror_index)
 MAX_AUDIT_CELLS = 1 << 21
 
@@ -82,11 +82,13 @@ def _check_sizes(cfg: ExperimentConfig) -> None:
             check_hypertree_n(n)
 
 
-def _sampler_factory(cfg: ExperimentConfig, n: int):
-    if cfg.model == "one-out":
+def sampler(model: str, n: int, c: float):
+    """The draw rng -> TwoComplex of a model in MODELS at n (c is the LM face
+    density constant). A hypertree sampler builds its kernel here, once."""
+    if model == "one-out":
         return lambda rng: sample_one_out(n, rng)
-    if cfg.model == "lm":
-        return lambda rng: sample_linial_meshulam(n, cfg.c, rng)
+    if model == "lm":
+        return lambda rng: sample_linial_meshulam(n, c, rng)
     kern = build_kernel(n)
     return lambda rng: sample_hypertree(kern, rng)
 
@@ -123,11 +125,11 @@ def run_ez1_trend(cfg: ExperimentConfig) -> Table:
     group = cfg.group
     _check_sizes(cfg)
     for n in cfg.n_values:
-        sampler = _sampler_factory(cfg, n)
+        draw = sampler(cfg.model, n, cfg.c)
         counts: list[int] = []
         for rep in range(cfg.samples):
             rng = cfg.replica_rng("ez1", n, rep)
-            X = sampler(rng)
+            X = draw(rng)
             counts.append(count_cocycles(X, group))
         m = len(counts)
         mean = Fraction(sum(counts), m)
@@ -180,12 +182,12 @@ def run_betti_trend(cfg: ExperimentConfig) -> Table:
     table = Table(cols)
     _check_sizes(cfg)
     for n in cfg.n_values:
-        sampler = _sampler_factory(cfg, n)
+        draw = sampler(cfg.model, n, cfg.c)
         dims: dict[int, list[int]] = {p: [] for p in cfg.primes}
         mgs: list[int] = []
         for rep in range(cfg.samples):
             rng = cfg.replica_rng("betti", n, rep)
-            X = sampler(rng)
+            X = draw(rng)
             for p in cfg.primes:
                 dims[p].append(dim_h1_mod_p(X, p))
             if cfg.include_mg:
@@ -233,7 +235,7 @@ def run_layer_audit(cfg: ExperimentConfig):
     audited and its slack entries are None.
     """
     group = cfg.group
-    n = cfg.n_values[0] if cfg.n_values else 6
+    n = cfg.n_values[0]
     cells = n * n * group.order
     # n and |G| past their own bounds (random_cochain's C(n,2), add_table's
     # order) keep those messages; within them, the product is checked here,

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cochains import Cochain, edge_list
+from .cochains import Cochain
 from .complexes import TwoComplex
 from .graphons import StepKernel
 from .groups import Group, SymmetricDistribution
+from .homology import edge_list
 
 
 def _num_to_json(v):

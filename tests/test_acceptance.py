@@ -17,7 +17,6 @@ from cochainlab.cli import main
 from cochainlab.cochains import (
     Cochain,
     cocycle_triangles,
-    edge_list,
     embed_graphon,
     path_counts,
     random_cochain,
@@ -51,7 +50,7 @@ from cochainlab.graphons import (
     z_functional,
 )
 from cochainlab.groups import Group, SymmetricDistribution
-from cochainlab.homology import bareiss_det, boundary_matrices, smith_normal_form
+from cochainlab.homology import bareiss_det, boundary_matrices, edge_list, smith_normal_form
 from cochainlab.lab.config import ExperimentConfig
 from cochainlab.lab.experiments import (
     run_betti_trend,

@@ -76,6 +76,25 @@ def test_long_n_range_exits_two_before_it_is_built(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["ez1-trend", "--n", "5:3"],
+        ["betti-trend", "--n", "6:10:-1"],
+        ["betti-trend", "--primes", "7:5"],
+    ],
+)
+def test_empty_integer_list_exits_two(argv, capsys):
+    # these printed a bare CSV header and exited 0
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--samples", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"integer list {argv[-1]!r} is empty" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "model, bound",
     [
         ("one-out", "one-out sampler needs C(n,2) <= 524288 edges; n = 100000"),

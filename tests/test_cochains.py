@@ -9,15 +9,13 @@ import pytest
 from cochainlab.cochains import (
     Cochain,
     cocycle_triangles,
-    edge_index,
-    edge_list,
     embed_graphon,
     path_counts,
     random_cochain,
-    triangle_support_counts,
 )
+from cochainlab.complexes import triangle_edge_counts
 from cochainlab.groups import Group, SymmetricDistribution
-from cochainlab.homology import MAX_SKELETON_TRIANGLES
+from cochainlab.homology import MAX_SKELETON_TRIANGLES, edge_index, edge_list
 
 
 def _uniform(moduli):
@@ -66,7 +64,6 @@ def test_edge_list_cache_is_bounded():
     for n in range(2, 42):
         assert len(edge_list(n)) == n * (n - 1) // 2
         assert edge_index(n, 1, n) == n - 2
-    assert edge_list.cache_info().currsize <= 16
 
 
 def test_antisymmetry():
@@ -136,26 +133,35 @@ def test_cocycle_triangles_by_definition():
         assert ((u, v, w) in yset) == compatible
 
 
-def test_triangle_support_counts_match_path_counts():
-    nu = _uniform((2, 3))
-    f = random_cochain(6, nu, np.random.default_rng(4))
-    t = triangle_support_counts(f)
-    pc = path_counts(f)
-    M = f.label_matrix()
-    for u, v in edge_list(6):
-        assert t[u - 1, v - 1] == pc[u - 1, v - 1, M[u - 1, v - 1]]
-        assert t[u - 1, v - 1] == t[v - 1, u - 1]
-    assert (np.diag(t) == 0).all()
+# t_Y(e) of the cocycle triangles Y_f: the per-edge count behind b(W_f)
+EDGE_COUNT_GROUPS = [(2,), (3,), (4,), (2, 2), (2, 3)]
 
 
-def test_triangle_support_counts_equal_incident_cocycle_triangles():
-    nu = _uniform((2,))
-    f = random_cochain(6, nu, np.random.default_rng(11))
-    t = triangle_support_counts(f)
-    Y = cocycle_triangles(f)
-    for u, v in edge_list(6):
-        incident = sum(1 for tri in Y if u in tri and v in tri)
-        assert t[u - 1, v - 1] == incident
+def _edge_count_cases():
+    for k, moduli in enumerate(EDGE_COUNT_GROUPS):
+        rng = np.random.default_rng([29, k])
+        for n in range(3, 15):
+            f = random_cochain(n, _uniform(moduli), rng)
+            yield f, triangle_edge_counts(n, cocycle_triangles(f))
+
+
+def test_cocycle_triangle_edge_counts_match_path_counts():
+    """t(u, w) = path_counts at the edge's own label f(u, w)."""
+    for f, t in _edge_count_cases():
+        pc = path_counts(f)
+        M = f.label_matrix()
+        for u, v in edge_list(f.n):
+            assert t[u - 1, v - 1] == pc[u - 1, v - 1, M[u - 1, v - 1]]
+            assert t[u - 1, v - 1] == t[v - 1, u - 1]
+        assert (np.diag(t) == 0).all()
+
+
+def test_cocycle_triangle_edge_counts_equal_incident_faces():
+    for f, t in _edge_count_cases():
+        Y = cocycle_triangles(f)
+        for u, v in edge_list(f.n):
+            incident = sum(1 for tri in Y if u in tri and v in tri)
+            assert t[u - 1, v - 1] == incident
 
 
 def test_embed_graphon_structure():

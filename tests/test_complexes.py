@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cochainlab import complexes
-from cochainlab.cochains import Cochain, cocycle_triangles, edge_index, edge_list, random_cochain
+from cochainlab.cochains import Cochain, cocycle_triangles, random_cochain
 from cochainlab.complexes import (
     TwoComplex,
     all_triangles,
@@ -33,6 +33,8 @@ from cochainlab.homology import (
     bareiss_det,
     boundary_matrices,
     count_cocycles,
+    edge_index,
+    edge_list,
     face_edges,
     smith_normal_form,
 )

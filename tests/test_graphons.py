@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cochainlab import graphons
 from cochainlab.cli import main
-from cochainlab.cochains import Cochain, edge_list, embed_graphon, path_counts, random_cochain
+from cochainlab.cochains import Cochain, embed_graphon, path_counts, random_cochain
 from cochainlab.graphons import (
     CONVOLVE_SYM_TOL,
     CutNormTooLarge,
@@ -43,6 +43,7 @@ from cochainlab.graphons import (
     z_functional,
 )
 from cochainlab.groups import Group, SymmetricDistribution
+from cochainlab.homology import edge_list
 from cochainlab.serialize import dump_json, dumps_json, kernel_to_json_dict
 
 
@@ -1034,7 +1035,7 @@ def test_mgf_limit_single_part_closed_form():
 
 def _mgf_brute_force(phi, n, nu):
     """Enumerate every cochain; average exp(n^2 Z_phi(embedded f)) under nu."""
-    from cochainlab.cochains import Cochain, edge_list
+    from cochainlab.cochains import Cochain
 
     g = phi.group
     m = n * (n - 1) // 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import namedtuple
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
-from cochainlab.cochains import cocycle_triangles, edge_list, random_cochain
+from cochainlab.cochains import cocycle_triangles, random_cochain
 from cochainlab import complexes, homology
 from cochainlab.complexes import (
     TwoComplex,
@@ -28,6 +29,8 @@ from cochainlab.homology import (
     _rank_rows,
     _star_face_masks,
     _star_face_rows,
+    _triangle_edges,
+    _triu,
     bareiss_det,
     boundary_matrices,
     count_cocycles,
@@ -35,6 +38,8 @@ from cochainlab.homology import (
     dim_h1_mod_p,
     gram_det_operand,
     dim_z1_mod_p,
+    edge_index,
+    edge_list,
     face_edges,
     homology_report,
     is_prime,
@@ -89,6 +94,34 @@ def test_boundary_size_checked_before_allocation():
             build(TwoComplex(1025, []))
         with pytest.raises(ValueError, match=r"C\(n,2\) x faces <= 33554432 cells"):
             build(TwoComplex(1024, faces))
+
+
+def test_skeleton_indexing_has_one_edge_order():
+    """_triu, edge_list, edge_index, face_edges and the cached incidence
+    _triangle_edges all read the lexicographic edge order of K_n."""
+    for n in range(2, 41):
+        iu, ju = _triu(n)
+        assert not (iu.flags.writeable or ju.flags.writeable)
+        edges = edge_list(n)
+        assert edges == tuple(itertools.combinations(range(1, n + 1), 2))
+        assert edges == tuple(zip((iu + 1).tolist(), (ju + 1).tolist()))
+        assert [edge_index(n, u, v) for u, v in edges] == list(range(len(edges)))
+        assert [edge_index(n, v, u) for u, v in edges] == list(range(len(edges)))
+        faces = list(itertools.combinations(range(1, n + 1), 3))
+        want = [(edge_index(n, u, v), edge_index(n, u, w), edge_index(n, v, w)) for u, v, w in faces]
+        assert face_edges(n, faces) == want
+        assert _triangle_edges(n).T.tolist() == [list(e) for e in want]
+
+
+def test_triangle_edges_bounded_before_it_is_built():
+    # n = 186 is the first n with C(n,3) past MAX_SKELETON_TRIANGLES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"C\(n,3\) <= 1048576 triangles; n = 186 has 1055240"):
+            _triangle_edges(186)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _face_rows(X):

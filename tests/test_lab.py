@@ -26,6 +26,10 @@ def test_config_defaults_and_validation():
         ExperimentConfig(seed=None)
     with pytest.raises(ValueError, match="n must be"):
         ExperimentConfig(seed=1, n_values=(2,))
+    with pytest.raises(ValueError, match="n_values must not be empty"):
+        ExperimentConfig(seed=1, n_values=())
+    with pytest.raises(ValueError, match="primes must not be empty"):
+        ExperimentConfig(seed=1, primes=())
     with pytest.raises(ValueError, match="samples"):
         ExperimentConfig(seed=1, samples=0)
     with pytest.raises(ValueError, match="model"):
